@@ -18,16 +18,22 @@ Three execution paths, all answering byte-identically to the offline
   so a hot reload reaches them with the next batch.
 
 The :class:`RequestBatcher` is the admission queue between protocol
-handler threads and the engine: handlers block on a per-query slot, a
-single collector thread lingers up to ``REPRO_SERVE_WAIT_MS`` to fill
-batches of ``REPRO_SERVE_BATCH``, and every query's queue-to-answer
-latency lands in the ``serve.latency_ns`` histogram.
+handler threads and the engine: a handler enqueues a connection's
+pipelined group of queries at once and blocks on their slots, a single
+collector thread lingers up to ``REPRO_SERVE_WAIT_MS`` to fill batches
+of ``REPRO_SERVE_BATCH``, and every query's queue-to-answer latency
+lands in the ``serve.latency_ns`` histogram. A batch that raises (inline,
+or a pool batch whose result raises) is answered again one query at a
+time, so only the query at fault gets an error frame; each such query
+ticks ``serve.internal_errors`` and the collector keeps running.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
+import traceback
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +43,12 @@ from ..obs.hist import ns_buckets
 from ..obs.metrics import get_metrics
 from . import protocol
 from .reload import EpochChain
+
+logger = logging.getLogger("repro.serve.batcher")
+
+#: Innermost traceback frames logged for a failed query (a RecursionError's
+#: full traceback runs to tens of thousands of frames).
+LOG_FRAMES = 8
 
 
 # -- answering (shared by parent and pool workers) -------------------------------
@@ -380,6 +392,49 @@ class RequestBatcher:
             metrics.hist("serve.latency_ns", now - slot.enqueued_ns, ns_buckets())
             slot.event.set()
 
+    def _answer_singly(
+        self, queries: Sequence[Dict[str, Any]], failure: Exception
+    ) -> List[Dict[str, Any]]:
+        """Answer the queries of a batch that raised ``failure`` one at a time.
+
+        Only a query that raises on its own gets an error frame (and a
+        ``serve.internal_errors`` tick); its neighbours are answered.
+        """
+        logger.warning(
+            "a batch of %d queries raised %s; answering them one at a time",
+            len(queries), type(failure).__name__,
+        )
+        answers: List[Dict[str, Any]] = []
+        for query in queries:
+            try:
+                answers.extend(self.engine.answer_batch([query]))
+            except Exception as exc:
+                get_metrics().count("serve.internal_errors")
+                logger.error(
+                    "%s query failed:\n%s",
+                    query.get("op"),
+                    "".join(traceback.format_exception(exc, limit=-LOG_FRAMES)),
+                )
+                answers.append(protocol.error_response(
+                    f"internal error: {type(exc).__name__}", query.get("op")
+                ))
+        return answers
+
+    def _answer_inline(self, queries: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Answer a batch inline; if it raises, answer its queries singly."""
+        try:
+            return self.engine.answer_batch(queries)
+        except Exception as exc:
+            return self._answer_singly(queries, exc)
+
+    def _deliver_pooled(self, entries: List[Tuple[Dict[str, Any], _Slot]], future) -> None:
+        """Deliver a pool batch; if it raised, answer its queries singly."""
+        try:
+            answers = self.engine.collect(future)
+        except Exception as exc:
+            answers = self._answer_singly([query for query, _ in entries], exc)
+        self._deliver(entries, answers)
+
     def _loop(self) -> None:
         metrics = get_metrics()
         #: One pool batch in flight while the next one fills (pipelining).
@@ -388,8 +443,7 @@ class RequestBatcher:
             batch = self._collect(pending[1] if pending is not None else None)
             if not batch:
                 if pending is not None:
-                    entries, future = pending
-                    self._deliver(entries, self.engine.collect(future))
+                    self._deliver_pooled(*pending)
                     pending = None
                     continue
                 if self._closed:
@@ -398,14 +452,10 @@ class RequestBatcher:
             metrics.hist("serve.batch_size", len(batch))
             queries = [query for query, _ in batch]
             future = self.engine.submit_batch(queries)
-            if future is None:
-                if pending is not None:
-                    entries, prior = pending
-                    self._deliver(entries, self.engine.collect(prior))
-                    pending = None
-                self._deliver(batch, self.engine.answer_batch(queries))
-                continue
             if pending is not None:
-                entries, prior = pending
-                self._deliver(entries, self.engine.collect(prior))
-            pending = (batch, future)
+                self._deliver_pooled(*pending)
+                pending = None
+            if future is None:
+                self._deliver(batch, self._answer_inline(queries))
+            else:
+                pending = (batch, future)

@@ -16,10 +16,15 @@ takes to unpickle two artifacts. Cold, the nodes compute once and
 persist, warming every later boot.
 
 The front end is a threading TCP server speaking the line protocol of
-:mod:`repro.serve.protocol`: query ops flow through the
-:class:`~repro.serve.batcher.RequestBatcher`; ``health``/``metrics``
+:mod:`repro.serve.protocol`, one thread per connection. Each connection
+is pipelined: a read takes every complete line the client has sent, and
+consecutive query ops go to the :class:`~repro.serve.batcher.RequestBatcher`
+as one group, so a client's in-flight queries share batches. Control
+lines are answered in their place between groups: ``health``/``metrics``
 read state directly; ``reload`` performs the epoch swap of
-:mod:`repro.serve.reload`; ``shutdown`` stops the daemon. On stop the
+:mod:`repro.serve.reload`; ``shutdown`` stops the daemon. A line longer
+than :data:`MAX_FRAME_BYTES` gets one error frame and closes its
+connection. Accepted sockets run with ``TCP_NODELAY``. On stop the
 daemon can write a run manifest whose ``serve`` section carries the
 port, final epoch, and query/batch/reload/dropped counters
 (``repro.obs.manifest`` validates it).
@@ -32,7 +37,7 @@ import socket
 import socketserver
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.pipeline import AntiAdblockDetector, DetectorConfig
 from ..graph.core import NodeSpec
@@ -199,27 +204,98 @@ def _counter_snapshot() -> Dict[str, int]:
     return {name: metrics.counter(f"serve.{name}") for name in SERVE_COUNTERS}
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One client connection: decode lines, route ops, write frames."""
+#: The longest request line the daemon reads, newline excluded. The
+#: largest frames in-repo clients send are a full-subscription reload
+#: (~132 KB) and a 64-query batch frame (~14 KB); a longer line gets one
+#: error frame and the connection is closed.
+MAX_FRAME_BYTES = 4 * 1024 * 1024
+
+#: Bytes asked of the socket per read.
+READ_BYTES = 64 * 1024
+
+#: Seconds a request line waits for the batcher to answer its queries.
+QUERY_TIMEOUT_S = 60.0
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """One client connection, pipelined.
+
+    Each read takes every complete line the client has sent so far.
+    Consecutive query lines go to the batcher as one group, so a client
+    with many queries in flight fills batches instead of each query
+    waiting out the linger alone. Control lines, ``batch`` frames and bad
+    lines are answered in their place between groups; a control line
+    therefore waits for the queries before it (a ``reload`` is a
+    barrier). All replies to one read leave in one ``sendall``.
+
+    The server's ``daemon`` answers through two calls: ``dispatch`` for
+    one decoded message and ``answer_queries`` for a group of queries.
+    """
+
+    def setup(self) -> None:
+        # Nagle would hold a small reply until the previous one is ACKed,
+        # and the client delays that ACK by up to 40 ms.
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def handle(self) -> None:
-        daemon: "ServeDaemon" = self.server.daemon  # type: ignore[attr-defined]
-        for line in self.rfile:
+        buffer = bytearray()
+        while True:
+            chunk = self.request.recv(READ_BYTES)
+            buffer += chunk
+            if chunk:
+                # Only the new chunk can hold a newline: the bytes before
+                # it are one partial line.
+                end = buffer.rfind(b"\n", len(buffer) - len(chunk))
+                lines = bytes(buffer[:end]).split(b"\n") if end >= 0 else []
+                del buffer[: end + 1]
+                if len(buffer) > MAX_FRAME_BYTES:
+                    # Refused now, before the rest of the line arrives.
+                    lines.append(buffer)
+            else:
+                # EOF: a last request without a newline is still answered.
+                lines = [bytes(buffer)] if buffer else []
+            replies, close = self._answer(lines)
+            if replies:
+                self.request.sendall(replies)
+            if close or not chunk:
+                return
+
+    def _answer(self, lines: List[bytes]) -> Tuple[bytes, bool]:
+        """The reply frames to ``lines``, in order, and whether to close."""
+        daemon = self.server.daemon  # type: ignore[attr-defined]
+        frames: List[bytes] = []
+        queries: List[Dict[str, Any]] = []
+
+        def flush_queries() -> None:
+            if queries:
+                answers = daemon.answer_queries(queries)
+                frames.extend(protocol.encode(answer) for answer in answers)
+                queries.clear()
+
+        for line in lines:
+            if len(line) > MAX_FRAME_BYTES:
+                flush_queries()
+                get_metrics().count("serve.errors")
+                frames.append(protocol.encode(protocol.error_response(
+                    f"request line exceeds {MAX_FRAME_BYTES} bytes; closing"
+                )))
+                return b"".join(frames), True
             try:
                 message = protocol.decode_line(line)
             except protocol.ProtocolError as exc:
+                flush_queries()
                 get_metrics().count("serve.errors")
-                self.wfile.write(protocol.encode(protocol.error_response(str(exc))))
-                # Flush error frames like ok frames: a client that stops
-                # pipelining after a bad line must not wait on a buffered
-                # error that only the *next* response would push out.
-                self.wfile.flush()
+                frames.append(protocol.encode(protocol.error_response(str(exc))))
                 continue
-            response = daemon.dispatch(message)
-            self.wfile.write(protocol.encode(response))
-            self.wfile.flush()
-            if message.get("op") == "shutdown":
-                return
+            if message["op"] in protocol.QUERY_OPS:
+                queries.append(message)
+                continue
+            flush_queries()
+            frames.append(protocol.encode(daemon.dispatch(message)))
+            if message["op"] == "shutdown":
+                return b"".join(frames), True
+        flush_queries()
+        return b"".join(frames), False
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -345,7 +421,7 @@ class ServeDaemon:
         """Route one decoded request to the batcher or the control plane."""
         op = message.get("op")
         if op in protocol.QUERY_OPS:
-            return self.batcher.ask(message, timeout=60.0)
+            return self.batcher.ask(message, timeout=QUERY_TIMEOUT_S)
         if op == protocol.BATCH_OP:
             queries = message.get("queries", [])
             for item in queries:
@@ -354,8 +430,7 @@ class ServeDaemon:
                     return protocol.error_response(
                         "batch: every entry must be a url/script/page query", op
                     )
-            answers = self.batcher.ask_many(queries, timeout=60.0)
-            return protocol.ok_response(op, answers=answers)
+            return protocol.ok_response(op, answers=self.answer_queries(queries))
         if op == "health":
             return protocol.ok_response(op, **self.health())
         if op == "metrics":
@@ -371,6 +446,10 @@ class ServeDaemon:
             threading.Thread(target=self.stop, daemon=True).start()
             return protocol.ok_response(op, stopping=True)
         return protocol.error_response(f"unknown op: {op!r}", op)
+
+    def answer_queries(self, queries: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Answer decoded query messages through the batcher, in order."""
+        return self.batcher.ask_many(queries, timeout=QUERY_TIMEOUT_S)
 
     def reload(self, added: List[str], removed: List[str]) -> Dict[str, Any]:
         """Hot-swap a list delta; returns the epoch summary once drained."""

@@ -466,6 +466,10 @@ class ShardSupervisor:
             )
         return protocol.error_response(f"unknown op: {op!r}", op)
 
+    def answer_queries(self, queries: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Refuse pipelined queries, one frame each: this is not the query port."""
+        return [self.dispatch(query) for query in queries]
+
     def health(self) -> Dict[str, Any]:
         """Merged readiness: all shards answering "ok" or the truth."""
         responses = self._fan_out({"op": "health"}, timeout=10.0)

@@ -1,10 +1,12 @@
 """Shared serve fixtures: one small trained state for the whole session."""
 
+import socket
+
 import pytest
 
 from repro.experiments.context import ExperimentContext
 from repro.obs.metrics import reset_metrics
-from repro.serve.daemon import resolve_serve_state
+from repro.serve.daemon import _Handler, resolve_serve_state
 
 SCALE = 0.02
 
@@ -34,3 +36,17 @@ class StubDetector:
 @pytest.fixture
 def stub_detector():
     return StubDetector()
+
+
+@pytest.fixture
+def nodelay_seen(monkeypatch):
+    """``TCP_NODELAY`` of every socket a ``_Handler`` in this process accepts."""
+    seen = []
+    handle = _Handler.handle
+
+    def recording_handle(self):
+        seen.append(self.request.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        return handle(self)
+
+    monkeypatch.setattr(_Handler, "handle", recording_handle)
+    return seen

@@ -11,6 +11,7 @@ when the next batch (never) shows up.
 import threading
 import time
 
+from repro.obs.metrics import get_metrics
 from repro.serve.batcher import RequestBatcher
 
 
@@ -106,3 +107,56 @@ class TestPipelinedDelivery:
         batcher.close()
         thread.join(5.0)
         assert [a["ok"] for a in result["answers"]] == [True] * 4
+
+
+def _raises_on_boom(queries):
+    if any(q.get("boom") for q in queries):
+        raise RecursionError("maximum recursion depth exceeded")
+    return _answers(queries)
+
+
+class RaisingEngine(FakePoolEngine):
+    """A batch holding a ``boom`` query raises, inline or from the pool."""
+
+    def __init__(self, pooled):
+        super().__init__(delay=0.01)
+        self.pooled = pooled
+
+    def submit_batch(self, queries):
+        return super().submit_batch(queries) if self.pooled else None
+
+    def collect(self, future):
+        super().collect(future)
+        return _raises_on_boom(future._queries)
+
+    def answer_batch(self, queries, batched=True):
+        self.inline_batches += 1
+        return _raises_on_boom(queries)
+
+
+class TestRaisingBatch:
+    def _run(self, pooled):
+        engine = RaisingEngine(pooled)
+        batcher = RequestBatcher(engine, batch_size=8, wait_ms=1.0)
+        batcher.start()
+        try:
+            burst = _queries(3)
+            burst[1]["boom"] = True
+            answers = batcher.ask_many(burst, timeout=5.0)
+            later = batcher.ask_many(_queries(2), timeout=5.0)
+        finally:
+            batcher.close()
+        return answers, later
+
+    def test_inline_batch_answers_the_neighbours_and_keeps_collecting(self):
+        answers, later = self._run(pooled=False)
+        assert [a["ok"] for a in answers] == [True, False, True]
+        assert answers[1]["error"] == "internal error: RecursionError"
+        assert [a["ok"] for a in later] == [True, True]
+        assert get_metrics().counter("serve.internal_errors") == 1
+
+    def test_pool_batch_whose_collect_raises_is_answered_singly(self):
+        answers, later = self._run(pooled=True)
+        assert [a["ok"] for a in answers] == [True, False, True]
+        assert [a["ok"] for a in later] == [True, True]
+        assert get_metrics().counter("serve.internal_errors") == 1

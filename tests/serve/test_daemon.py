@@ -1,5 +1,8 @@
 """The TCP daemon end to end: ops, batch frames, hot reload under load."""
 
+import json
+import socket
+import sys
 import threading
 
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from repro.obs.manifest import validate_manifest
 from repro.obs.metrics import get_metrics
 from repro.serve import protocol
-from repro.serve.daemon import ServeDaemon, build_engine
+from repro.serve.daemon import MAX_FRAME_BYTES, ServeDaemon, build_engine
 from repro.serve.loadgen import generate_queries
 
 
@@ -234,3 +237,111 @@ class TestSatelliteFixes:
         section = daemon.serve_section()
         for name in SERVE_COUNTERS:
             assert health[name] == section[name]
+
+
+def _pipeline(daemon, payload: bytes, replies: int, half_close: bool = False):
+    """Write ``payload`` in one ``sendall`` and read ``replies`` raw frames."""
+    with socket.create_connection((daemon.host, daemon.port), timeout=30.0) as sock:
+        sock.sendall(payload)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        reader = sock.makefile("rb")
+        frames = [reader.readline() for _ in range(replies)]
+        if half_close:
+            assert reader.readline() == b""  # nothing more, then EOF
+    assert all(frame.endswith(b"\n") for frame in frames)
+    return frames
+
+
+def _lines(messages) -> bytes:
+    return b"".join(protocol.encode(message) for message in messages)
+
+
+PROBE = protocol.url_query(
+    "https://flashnews-tracker.example/ad.js", resource_type="script"
+)
+
+
+class TestPipelinedConnection:
+    def test_burst_in_one_send_is_answered_in_order_in_shared_batches(self, daemon):
+        # Blocked by the served "/adblock-wall." rule, except on the
+        # techbuzzshow.de host its exception rule names.
+        hosts = ("cdn.example", "techbuzzshow.de")
+        paths = ("adblock-wall.js", "app.js")
+        queries = [
+            protocol.url_query(
+                f"https://{hosts[n // 2 % 2]}/js/{paths[n % 2]}?n={n}",
+                resource_type="script",
+            )
+            for n in range(200)
+        ]
+        with protocol.ServeClient(daemon.host, daemon.port) as client:
+            alone = [client.ask(query) for query in queries]
+        assert {answer["blocked"] for answer in alone} == {True, False}
+        batches = get_metrics().counter("serve.batches")
+        frames = _pipeline(daemon, _lines(queries), len(queries))
+        assert frames == [protocol.encode(answer) for answer in alone]
+        # A front end that reads one line at a time makes one batch per query.
+        assert get_metrics().counter("serve.batches") - batches < len(queries)
+
+    def test_reload_line_is_a_barrier(self, daemon):
+        payload = _lines([
+            PROBE, PROBE,
+            protocol.reload_request(["||flashnews-tracker.example^"], []),
+            PROBE, PROBE,
+        ])
+        frames = [json.loads(frame) for frame in _pipeline(daemon, payload, 5)]
+        assert [frame.get("blocked") for frame in frames] == [False, False, None, True, True]
+        assert frames[2]["op"] == "reload" and frames[2]["epoch"] == 1
+
+    def test_bad_line_gets_its_error_in_its_own_slot(self, daemon):
+        queries = generate_queries(62, 4, mix=(1.0, 0.0, 0.0))
+        payload = _lines(queries[:2]) + b"this is not json\n" + _lines(queries[2:])
+        frames = [json.loads(frame) for frame in _pipeline(daemon, payload, 5)]
+        assert [frame["ok"] for frame in frames] == [True, True, False, True, True]
+        assert get_metrics().counter("serve.errors") == 1
+
+    def test_last_line_without_newline_is_answered_at_half_close(self, daemon):
+        payload = _lines([PROBE]) + protocol.encode({"op": "health"}).rstrip(b"\n")
+        frames = [json.loads(frame) for frame in _pipeline(daemon, payload, 2, half_close=True)]
+        assert frames[0]["op"] == "url" and frames[1]["op"] == "health"
+
+    def test_accepted_sockets_disable_nagle(self, daemon, nodelay_seen):
+        extra = daemon.add_listener()
+        for address in ((daemon.host, daemon.port), extra):
+            with protocol.ServeClient(*address) as client:
+                assert client.ask({"op": "health"})["ok"] is True
+        assert len(nodelay_seen) == 2 and all(nodelay_seen)
+
+    def test_oversize_line_gets_one_frame_then_eof(self, daemon):
+        with socket.create_connection((daemon.host, daemon.port), timeout=30.0) as sock:
+            # No newline: refused as soon as the line passes the limit.
+            sock.sendall(b"x" * (MAX_FRAME_BYTES + 1))
+            reader = sock.makefile("rb")
+            frame = json.loads(reader.readline())
+            assert reader.readline() == b""
+        assert frame["ok"] is False and str(MAX_FRAME_BYTES) in frame["error"]
+        assert get_metrics().counter("serve.errors") == 1
+        with protocol.ServeClient(daemon.host, daemon.port) as client:
+            assert client.ask(PROBE)["ok"] is True
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 each Python call also uses C stack, so a "
+        "20,000-deep parse can overflow it before the recursion limit",
+    )
+    def test_deep_script_in_a_burst_costs_only_its_own_answer(self, daemon):
+        deep = "var x = " + "[" * 20_000 + "1" + "]" * 20_000 + ";"
+        burst = [
+            PROBE,
+            protocol.script_query("var benign = 1;"),
+            protocol.script_query(deep),
+            protocol.script_query("var alsoBenign = 2;"),
+            PROBE,
+        ]
+        frames = [json.loads(frame) for frame in _pipeline(daemon, _lines(burst), 5)]
+        assert [frame["ok"] for frame in frames] == [True, True, False, True, True]
+        assert frames[2]["op"] == "script" and "RecursionError" in frames[2]["error"]
+        assert get_metrics().counter("serve.internal_errors") == 1
+        with protocol.ServeClient(daemon.host, daemon.port) as client:
+            assert client.ask(protocol.script_query("var later = 3;"))["ok"] is True

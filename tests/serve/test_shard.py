@@ -1,7 +1,9 @@
 """The shard supervisor end to end: one port, N processes, merged control."""
 
+import json
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -34,7 +36,7 @@ def _wait_for(predicate, timeout=30.0, interval=0.1):
 
 
 class TestShardedServing:
-    def test_lifecycle(self, snapshot_path, serve_state):
+    def test_lifecycle(self, snapshot_path, serve_state, nodelay_seen):
         """Boot 2 shards, query, merge, reload, kill, respawn, shut down.
 
         One flow instead of many small tests because every boot forks
@@ -105,11 +107,20 @@ class TestShardedServing:
                 with protocol.ServeClient(host, port, timeout=30.0) as client:
                     assert client.ask(probe)["blocked"] is True
 
-            # -- queries sent to the control port are redirected ----------
-            with _control(supervisor) as control:
-                rejected = control.ask(protocol.url_query("https://x.example/a.js"))
-            assert rejected["ok"] is False
-            assert str(port) in rejected["error"]
+            # -- the control port answers pipelined lines in order and
+            # -- redirects each query with a frame of its own ------------
+            url = protocol.url_query("https://x.example/a.js")
+            lines = [url, {"op": "health"}, url, protocol.batch_query([url]), {"op": "metrics"}]
+            with socket.create_connection(
+                ("127.0.0.1", supervisor.control_port), timeout=30.0
+            ) as sock:
+                sock.sendall(b"".join(protocol.encode(line) for line in lines))
+                reader = sock.makefile("rb")
+                frames = [json.loads(reader.readline()) for _ in lines]
+            assert [f["op"] for f in frames] == ["url", "health", "url", "batch", "metrics"]
+            assert [f["ok"] for f in frames] == [False, True, False, False, True]
+            assert str(port) in frames[0]["error"]
+            assert nodelay_seen and all(nodelay_seen)  # the control port's sockets
 
             # -- a killed shard is respawned at the reloaded epoch --------
             victim = supervisor.shard_pids()[0]
