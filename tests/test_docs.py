@@ -7,7 +7,9 @@ Three contracts, enforced so the docs cannot silently rot:
   fenced ``bash`` snippet at least parses;
 - the ``REPRO_*`` knob surface documented in the docs and the one
   validated in ``repro.obs.config`` are the same set, in both
-  directions;
+  directions. A ``REPRO_<STEM>_*`` token (the bare ``REPRO_*`` too)
+  names a family of knobs by prefix: it is accepted when at least one
+  config knob has that prefix, and it never counts as naming a knob;
 - every internal markdown link (and its ``#anchor``, when present)
   resolves to a real file/heading.
 """
@@ -41,6 +43,20 @@ EXECUTABLE_DOCS = ["README.md", "docs/TUTORIAL.md"]
 _FENCE = re.compile(r"```(\w*)[ \t]*\n(.*?)\n```", re.S)
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _KNOB = re.compile(r"REPRO_[A-Z_]+")
+_FAMILY = re.compile(r"(REPRO_(?:[A-Z]+_)*)\*")
+
+
+def _knob_refs(text: str):
+    """``(knobs, families)`` named in ``text``. Family tokens are cut out
+    before knob names are read, so ``REPRO_SERVE_*`` yields the family
+    prefix ``REPRO_SERVE_`` and no knob name at all."""
+    families = set(_FAMILY.findall(text))
+    knobs = set(_KNOB.findall(_FAMILY.sub(" ", text)))
+    return knobs, families
+
+
+def _family_members(prefix: str, knobs):
+    return {knob for knob in knobs if knob.startswith(prefix)}
 
 
 def _fences(doc: str):
@@ -91,25 +107,49 @@ class TestSnippetsExecute:
 class TestKnobSync:
     def _config_knobs(self):
         source = (ROOT / "src/repro/obs/config.py").read_text(encoding="utf-8")
-        return set(_KNOB.findall(source))
+        return _knob_refs(source)[0]
+
+    def _doc_refs(self, doc: str):
+        return _knob_refs((ROOT / doc).read_text(encoding="utf-8"))
 
     def _doc_knobs(self, doc: str):
-        return set(_KNOB.findall((ROOT / doc).read_text(encoding="utf-8")))
+        return self._doc_refs(doc)[0]
 
     def test_docs_and_config_agree_on_the_knob_surface(self):
         config = self._config_knobs()
         documented = set()
         for doc in DOCS:
-            unknown = self._doc_knobs(doc) - config
+            knobs, families = self._doc_refs(doc)
+            unknown = knobs - config
             assert not unknown, f"{doc} documents unknown knobs: {unknown}"
-            documented |= self._doc_knobs(doc)
+            empty = {f + "*" for f in families if not _family_members(f, config)}
+            assert not empty, f"{doc} documents knob families with no knob: {empty}"
+            documented |= knobs
         assert documented == config, (
             f"knobs in config but documented nowhere: {config - documented}"
         )
 
+    def test_the_extractor_tells_families_from_knob_names(self):
+        config = self._config_knobs()
+        assert _knob_refs("five `REPRO_SERVE_*` knobs") == (set(), {"REPRO_SERVE_"})
+        assert _family_members("REPRO_SERVE_", config) == {
+            "REPRO_SERVE_PORT",
+            "REPRO_SERVE_BATCH",
+            "REPRO_SERVE_WAIT_MS",
+            "REPRO_SERVE_WORKERS",
+            "REPRO_SERVE_SHARDS",
+        }
+        assert _knob_refs("`REPRO_BOGUS_*`") == (set(), {"REPRO_BOGUS_"})
+        assert not _family_members("REPRO_BOGUS_", config)
+        for name in ("REPRO_SERVE_FOO", "REPRO_SERVE_"):
+            knobs, families = _knob_refs(f"set `{name}` to 1")
+            assert (knobs, families) == ({name}, set())
+            assert knobs - config == {name}
+
     def test_architecture_table_lists_every_knob(self):
         # The consolidated table is the canonical reference; it must be
-        # complete, not just the union of all docs.
+        # complete, not just the union of all docs. Only knob names count:
+        # a family token (the `REPRO_*` heading) cannot stand in for a row.
         assert self._doc_knobs("docs/ARCHITECTURE.md") == self._config_knobs()
 
 
