@@ -261,19 +261,28 @@ class ExperimentContext:
             self._resilience = default_resilience()
         return self._resilience
 
-    def _build_lists(self) -> Dict[str, FilterListHistory]:
+    def _build_lists(self) -> Tuple[Dict[str, FilterListHistory], List[Tuple[int, str]]]:
         histories = generate_all_lists(self.world)
         patch = list_patch_file()
         if patch is not None:
             applied = apply_list_patch(histories, patch)
             logger.info("applied %d patch rules from %s", applied, patch)
-        return histories
+        return histories, self.world.population.minted()
 
     @property
     def lists(self) -> Dict[str, FilterListHistory]:
-        """Histories keyed 'aak', 'easylist', 'awrl', 'combined_easylist'."""
+        """Histories keyed 'aak', 'easylist', 'awrl', 'combined_easylist'.
+
+        The node also carries the world's domain-mint table as the list
+        build left it. Name collisions are settled by mint order, so
+        the table is restored on every resolution: a run over cached
+        lists then ranks their domains (Table 1) and names the live
+        crawl's tail exactly as the run that built them.
+        """
         if self._lists is None:
-            self._lists = self._resolve_stage("lists", self._build_lists)
+            histories, minted = self._resolve_stage("lists", self._build_lists)
+            self.world.population.restore(minted)
+            self._lists = histories
         return self._lists
 
     @property
@@ -318,7 +327,7 @@ class ExperimentContext:
         """The populated Wayback archive (built on first access)."""
         if self._archive is None:
             self._archive = self._resolve_stage(
-                "archive", self.world.build_archive, sites=len(self.world.sites)
+                "archive", self.world.build_archive, sites=self.world.config.n_sites
             )
         return self._archive
 
@@ -344,7 +353,7 @@ class ExperimentContext:
                 # Build upstream outside the stage so timings stay distinct.
                 self.archive
             self._crawl = self._resolve_stage(
-                "crawl", self._build_crawl, sites=len(self.world.sites)
+                "crawl", self._build_crawl, sites=self.world.config.n_sites
             )
         return self._crawl
 

@@ -116,7 +116,13 @@ class NodeSpec:
 #: output bytes; orchestration-only layers (obs, graph, context) are
 #: deliberately absent.
 STAGE_SPECS: Tuple[NodeSpec, ...] = (
-    NodeSpec("lists", params=("world", "patch"), code=("synthesis", "filterlist")),
+    NodeSpec(
+        "lists",
+        params=("world", "patch"),
+        code=("synthesis", "filterlist"),
+        # Revision 2: the value is (histories, domain-mint table).
+        extra=NodeSpec.freeze_extra({"value": 2}),
+    ),
     NodeSpec("archive", params=("world",), code=("synthesis", "web", "wayback")),
     NodeSpec(
         "crawl",

@@ -112,6 +112,36 @@ class DomainPopulation:
         """The rank of a previously minted domain, if known."""
         return self._by_name.get(domain)
 
+    def minted(self) -> List[Tuple[int, str]]:
+        """Every ``(rank, name)`` minted so far, in mint order.
+
+        Collisions are settled by mint order, so this table (not the
+        seed alone) fixes which ranks carry suffixed names.
+        """
+        return list(self._cache.items())
+
+    def restore(self, minted: Sequence[Tuple[int, str]]) -> None:
+        """Adopt a :meth:`minted` table, so later mints see its names.
+
+        Raises ``ValueError`` if a rank (or a name) is already minted
+        here under another name (or rank): this population minted in a
+        different order than the table's, and its names have diverged.
+        """
+        for rank, name in minted:
+            known = self._cache.get(rank)
+            if known is None:
+                owner = self._by_name.get(name)
+                if owner is not None:
+                    raise ValueError(
+                        f"cannot restore rank {rank} as {name!r}: minted for rank {owner}"
+                    )
+                self._cache[rank] = name
+                self._by_name[name] = rank
+            elif known != name:
+                raise ValueError(
+                    f"cannot restore rank {rank} as {name!r}: minted as {known!r}"
+                )
+
     def top(self, n: int) -> List[RankedDomain]:
         """The top ``n`` ranked domains."""
         return [RankedDomain(self.domain_at(rank), rank) for rank in range(1, n + 1)]

@@ -175,24 +175,29 @@ class SyntheticWorld:
         #: Snapshot cache: page content varies only with deployment and
         #: redirect state, so monthly captures share snapshot objects.
         self._snapshot_cache: Dict[tuple, PageSnapshot] = {}
-        self.sites: List[SiteProfile] = [
-            self.profile_for_rank(rank) for rank in range(1, self.config.n_sites + 1)
-        ]
+        self._sites: Optional[List[SiteProfile]] = None
 
     # -- site construction -----------------------------------------------------
 
+    @property
+    def sites(self) -> List[SiteProfile]:
+        """The crawled top segment's profiles in rank order.
+
+        Built on first read, so a process that only loads finished
+        artifacts (a warm run or serve boot) builds no profile and mints
+        no domain name.
+        """
+        if self._sites is None:
+            self._sites = [
+                self.profile_for_rank(rank) for rank in range(1, self.config.n_sites + 1)
+            ]
+        return self._sites
+
     def profile_for_rank(self, rank: int) -> SiteProfile:
-        """The (cached) site profile at ``rank``; built lazily for the tail."""
+        """The (cached) site profile at ``rank``, built on first request."""
         if rank not in self._profiles:
             self._profiles[rank] = self._build_profile(rank)
         return self._profiles[rank]
-
-    def site_by_domain(self, domain: str) -> Optional[SiteProfile]:
-        """The cached profile for a minted domain, if built."""
-        rank = self.population.rank_of(domain)
-        if rank is None:
-            return None
-        return self._profiles.get(rank)
 
     def _build_profile(self, rank: int) -> SiteProfile:
         config = self.config

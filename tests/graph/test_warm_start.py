@@ -6,12 +6,21 @@ with values (and rendered-artifact digests) identical to the cold run.
 """
 
 import hashlib
+import importlib
+import os
 
 import pytest
 
 import repro.experiments.fig1 as fig1
 import repro.experiments.fig6 as fig6
+import repro.experiments.sec43 as sec43
+import repro.experiments.stability as stability
+import repro.experiments.table1 as table1
+from repro.__main__ import EXPERIMENTS
+from repro.analysis.pool import close_persistent_pool
+from repro.analysis.rulestats import set_rule_stats
 from repro.experiments.context import ExperimentContext
+from repro.filterlist.classify import targeted_domains
 from repro.graph.store import scan_entries
 from repro.obs.metrics import get_metrics, reset_metrics
 
@@ -29,6 +38,24 @@ def fresh_ctx() -> ExperimentContext:
     """A brand-new context: the in-memory layer starts empty, as after a
     process restart (node keys never depend on process state)."""
     return ExperimentContext.create(scale=SCALE)
+
+
+def assert_world_untouched(ctx: ExperimentContext) -> None:
+    """The context's world built no site profile and minted no name."""
+    assert ctx.world._profiles == {}
+    assert ctx.world.population.minted() == []
+
+
+@pytest.fixture(params=["serial", "persistent-pool"])
+def pool_mode(request, monkeypatch):
+    if request.param == "serial":
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_POOL_PERSIST", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setenv("REPRO_POOL_PERSIST", "1")
+    yield
+    close_persistent_pool()
 
 
 class TestStageWarmStart:
@@ -96,6 +123,79 @@ class TestStageWarmStart:
         assert not ctx.graph.enabled
         assert ctx.lists is not None
         assert [s.cached for s in ctx.stage_timings] == [False]
+
+
+class TestWarmPathsBuildNoWorld:
+    def test_warm_experiments_build_no_profile(self, cache, monkeypatch, request):
+        # rulereport installs a process-wide rule-stats collector; later
+        # tests get the previous one back.
+        previous = set_rule_stats(None)
+        request.addfinalizer(lambda: set_rule_stats(previous))
+        # stability regenerates its own fixed worlds, never the
+        # campaign's; one small seed keeps the cold fill cheap, and the
+        # node key names exactly that configuration.
+        monkeypatch.setattr(stability, "GRAPH_EXTRA", {"seeds": [7], "n_sites": 60})
+
+        def render(module, ctx):
+            if module is stability:
+                return stability.render(stability.run(ctx, seeds=(7,), n_sites=60))
+            return module.render(module.run(ctx))
+
+        rendered = {}
+        for _ in ("cold", "warm"):
+            ctx = ExperimentContext.create(scale=0.01)
+            for name in EXPERIMENTS:
+                module = importlib.import_module(f"repro.experiments.{name}")
+                ctx.graph.register_experiment(name, module)
+                text = ctx.graph.resolve(f"exp:{name}", lambda: render(module, ctx))
+                assert rendered.setdefault(name, text) == text
+        assert len(rendered) == 14
+        assert ctx.stage_timings == []
+        rows = ctx.graph.manifest_section()["nodes"]
+        assert {row["outcome"] for row in rows.values()} == {"hit"}
+        assert_world_untouched(ctx)
+
+
+def keep_only(cache, node_dir: str) -> None:
+    """Drop every run-cache entry except one node's."""
+    for entry in scan_entries(cache):
+        if entry["node_dir"] != node_dir:
+            os.remove(entry["path"])
+
+
+class TestCachedLists:
+    """A run whose only cached node is ``lists`` renders the cold bytes.
+
+    Domain names are settled by mint order, and the list build mints the
+    top segment and listgen's bucket samples; the ``lists`` node carries
+    that mint table, so a run over cached lists names every domain (and
+    answers every rank) as the run that built them.
+    """
+
+    def test_cached_lists_render_the_cold_bytes(self, cache, pool_mode):
+        cold = fresh_ctx()
+        cold_table1 = table1.render(table1.run(cold))
+        cold_sec43 = sec43.render(sec43.run(cold))
+        cold_names = [(r.rank, r.domain) for r in cold.world.live_domains()]
+        close_persistent_pool()
+        keep_only(cache, "lists")
+
+        warm = fresh_ctx()
+        assert table1.render(table1.run(warm)) == cold_table1
+        assert [(s.name, s.cached) for s in warm.stage_timings] == [("lists", True)]
+        assert [(r.rank, r.domain) for r in warm.world.live_domains()] == cold_names
+        assert sec43.render(sec43.run(warm)) == cold_sec43
+        assert warm.world.population.minted() == cold.world.population.minted()
+
+        targeted = {
+            domain
+            for history in cold.lists.values()
+            for domain in targeted_domains(history.latest().rules)
+        }
+        for domain in targeted | {name for _, name in cold_names}:
+            assert warm.world.population.rank_of(domain) == (
+                cold.world.population.rank_of(domain)
+            ), domain
 
 
 class TestInvalidation:

@@ -31,8 +31,11 @@ class TestServeWarmStart:
         reset_metrics()
         warm_ctx = fresh_ctx()
         warm = resolve_serve_state(warm_ctx)
-        # Both serve nodes hit; no context stage materialised at all.
+        # Both serve nodes hit; no context stage materialised at all, and
+        # the world built no site profile and minted no domain name.
         assert warm_ctx.stage_timings == []
+        assert warm_ctx.world._profiles == {}
+        assert warm_ctx.world.population.minted() == []
         assert get_metrics().counter("graph.hits") >= 2
         assert get_metrics().counter("graph.misses") == 0
 

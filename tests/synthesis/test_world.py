@@ -5,6 +5,7 @@ from datetime import date, timedelta
 import pytest
 
 from repro.jsast import parse
+from repro.synthesis.alexa import DomainPopulation
 from repro.synthesis.listgen import FilterListGenerator, generate_all_lists
 from repro.synthesis.world import SyntheticWorld, WorldConfig
 
@@ -58,6 +59,61 @@ class TestWorldConstruction:
                     parse(script.source)
             if site.deployment is not None:
                 parse(site.deployment.script_source)
+
+
+class TestLazySites:
+    def test_new_world_builds_nothing(self):
+        world = SyntheticWorld(SMALL)
+        assert world._profiles == {}
+        assert world.population.minted() == []
+
+    def test_sites_equal_profiles_by_rank_in_order(self, world):
+        fresh = SyntheticWorld(SMALL)
+        by_rank = [fresh.profile_for_rank(rank) for rank in range(1, SMALL.n_sites + 1)]
+        assert world.sites == by_rank
+        assert [site.rank for site in world.sites] == list(range(1, SMALL.n_sites + 1))
+
+    def test_profile_fetched_before_sites_is_reused(self):
+        world = SyntheticWorld(SMALL)
+        early = world.profile_for_rank(3)
+        assert world.sites[2] is early
+        assert world.sites is world.sites
+
+
+class TestMintTable:
+    # At seed 1702, ranks 54 and 150 first draw the same name; whichever
+    # is minted second takes a numeric suffix, so names follow mint order.
+
+    def test_minted_restore_round_trip(self):
+        source = DomainPopulation(seed=1702)
+        source.domain_at(150)
+        source.top(200)
+        table = source.minted()
+        assert table[0] == (150, source.domain_at(150))
+
+        restored = DomainPopulation(seed=1702)
+        restored.restore(table)
+        assert restored.minted() == table
+        assert [restored.rank_of(name) for _, name in table] == [r for r, _ in table]
+        # Later mints see the restored names, as they did in the source.
+        assert [restored.domain_at(r) for r in range(200, 400)] == [
+            source.domain_at(r) for r in range(200, 400)
+        ]
+        # Without the table, rank order hands the shared name to rank 54.
+        rank_order = DomainPopulation(seed=1702)
+        assert [rank_order.domain_at(r) for r in (54, 150)] != [
+            source.domain_at(r) for r in (54, 150)
+        ]
+
+    def test_conflicting_restore_raises(self):
+        population = DomainPopulation(seed=1702)
+        population.top(200)
+        other = DomainPopulation(seed=1702)
+        other.domain_at(150)
+        with pytest.raises(ValueError, match="rank 150"):
+            population.restore(other.minted())
+        with pytest.raises(ValueError, match="minted for rank 54"):
+            population.restore([(1000, population.domain_at(54))])
 
 
 class TestSnapshots:
