@@ -6,7 +6,11 @@ Quantifies the two tentpole wins of the content-addressed event store:
   cached token-event stream versus re-parsing the corpus per set (the
   pre-engine behavior, still reachable via ``features_from_source``);
 - **cold vs warm cache**: extraction against an empty on-disk cache
-  versus a populated one (``REPRO_FEATURE_CACHE`` between CLI runs).
+  versus a populated one (``REPRO_FEATURE_CACHE`` between CLI runs);
+- **fresh-script extraction**: ``extract_events`` on scripts no cache has
+  seen, the cost a served script pays on a verdict-cache miss, over an
+  all ``eval``-packed corpus and an unpacked one. On the packed corpus the
+  unpacker's gate never skips, so it shows the gate costs nothing there.
 
 Results land in the ``--benchmark-json`` artifact CI uploads, alongside
 the store's own hit/miss counters in ``extra_info``.
@@ -16,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.features import FEATURE_SETS, features_from_source
-from repro.core.featstore import FeatureStore
+from repro.core.featstore import FeatureStore, extract_events
 from repro.synthesis.scripts import generate_anti_adblock, generate_benign
 
 
@@ -90,3 +94,29 @@ def test_bench_warm_disk_cache(benchmark, script_corpus, tmp_path):
     assert store.stats.disk_hits > 0
     assert any(features)
     benchmark.extra_info["store_stats"] = store.stats.as_dict()
+
+
+@pytest.fixture(scope="module")
+def fresh_corpora():
+    """Anti-adblock scripts, every one ``eval``-packed or none of them."""
+    corpora = {}
+    for name, pack_probability in (("packed", 1.0), ("unpacked", 0.0)):
+        rng = np.random.default_rng(43)
+        corpora[name] = [
+            generate_anti_adblock(rng, pack_probability=pack_probability) for _ in range(60)
+        ]
+    return corpora
+
+
+@pytest.mark.parametrize("corpus", ["packed", "unpacked"])
+def test_bench_fresh_script_extraction(benchmark, fresh_corpora, corpus):
+    """Parse, unpack and walk each script, with no memo or disk cache."""
+    sources = fresh_corpora[corpus]
+
+    def extract_all():
+        return [extract_events(source) for source in sources]
+
+    entries = benchmark(extract_all)
+    assert all(entry.events and not entry.parse_error for entry in entries)
+    assert not any(entry.unpack_bailout for entry in entries)
+    benchmark.extra_info["scripts"] = len(sources)

@@ -15,13 +15,12 @@ function). Three feature sets offer increasing generalisation:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..jsast import nodes as N
 from ..jsast.parser import ParseError, parse
 from ..jsast.tokenizer import KEYWORDS, TokenizeError
 from ..jsast.unpack import unpack_program
-from ..jsast.walker import walk_with_ancestors
 
 FEATURE_SETS = ("all", "literal", "keyword")
 
@@ -77,6 +76,9 @@ _STRUCTURE_CONTEXT = {
 }
 
 
+_KEYWORD_TEXT = KEYWORDS | WEB_API_KEYWORDS
+
+
 def _text_kind(node: N.Node) -> Tuple[str, str]:
     """Classify a node's text: returns ``(kind, text)`` or ``("", "")``.
 
@@ -85,7 +87,7 @@ def _text_kind(node: N.Node) -> Tuple[str, str]:
     """
     if isinstance(node, N.Identifier):
         name = node.name
-        if name in KEYWORDS or name in WEB_API_KEYWORDS:
+        if name in _KEYWORD_TEXT:
             return "keyword", name
         return "identifier", name
     if isinstance(node, N.Literal):
@@ -97,26 +99,11 @@ def _text_kind(node: N.Node) -> Tuple[str, str]:
             return "keyword", "true" if node.value else "false"
         if isinstance(node.value, float):
             value = node.value
-            return "literal", str(int(value)) if value == int(value) else str(value)
+            return "literal", str(int(value)) if value.is_integer() else str(value)
         return "literal", str(node.value)
     if isinstance(node, N.ThisExpression):
         return "keyword", "this"
     return "", ""
-
-
-def _contexts(node: N.Node, ancestors: Tuple[N.Node, ...]) -> List[str]:
-    """Contexts a text node appears in: own type, parent type, structure."""
-    contexts = [node.type]
-    if ancestors:
-        contexts.append(ancestors[-1].type)
-    for ancestor in reversed(ancestors):
-        structure = _STRUCTURE_CONTEXT.get(ancestor.type)
-        if structure is not None:
-            contexts.append(structure)
-            break
-    else:
-        contexts.append("toplevel")
-    return contexts
 
 
 _KIND_FILTER = {
@@ -135,18 +122,63 @@ _KIND_FILTER = {
 TokenEvent = Tuple[str, str, Tuple[str, ...]]
 
 
+#: Per node class: (type string, field names in reverse order, whether it
+#: carries text, the structure context it opens or None).
+_WALK_PLANS: Dict[type, Tuple[str, Tuple[str, ...], bool, Optional[str]]] = {}
+
+
+def _walk_plan(cls: type) -> Tuple[str, Tuple[str, ...], bool, Optional[str]]:
+    node_type = cls.__name__
+    plan = (
+        node_type,
+        tuple(reversed(N.field_names(cls))),
+        issubclass(cls, (N.Identifier, N.Literal, N.ThisExpression)),
+        _STRUCTURE_CONTEXT.get(node_type),
+    )
+    _WALK_PLANS[cls] = plan
+    return plan
+
+
 def token_events(program: N.Program) -> List[TokenEvent]:
     """One AST walk emitting every feature set's raw material.
 
-    Truncates each text token to 64 characters so pathological literals
-    (inline data blobs) do not mint unbounded vocabulary.
+    Each text node's contexts are its own type, its parent's type (absent
+    at the root) and the nearest enclosing control structure above it
+    (``toplevel`` if none). The walk is pre-order over the nodes that
+    :meth:`~repro.jsast.nodes.Node.children` yields, and it carries the
+    parent type and the structure context down its stack, so each node
+    costs the same however deep it sits. Truncates each text token to 64
+    characters so pathological literals (inline data blobs) do not mint
+    unbounded vocabulary.
     """
     events: List[TokenEvent] = []
-    for node, ancestors in walk_with_ancestors(program):
-        kind, text = _text_kind(node)
-        if not kind:
-            continue
-        events.append((kind, text[:64], tuple(_contexts(node, ancestors))))
+    append = events.append
+    plans = _WALK_PLANS
+    node_class = N.Node
+    stack = [(program, None, "toplevel")]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node, parent, structure = pop()
+        plan = plans.get(node.__class__) or _walk_plan(node.__class__)
+        node_type, names, has_text, inner = plan
+        if has_text:
+            kind, text = _text_kind(node)
+            if parent is None:
+                append((kind, text[:64], (node_type, structure)))
+            else:
+                append((kind, text[:64], (node_type, parent, structure)))
+        if inner is None:
+            inner = structure
+        # Fields and list items are pushed last first, so they pop in order.
+        for name in names:
+            value = getattr(node, name)
+            if isinstance(value, node_class):
+                push((value, node_type, inner))
+            elif isinstance(value, list):
+                for item in reversed(value):
+                    if isinstance(item, node_class):
+                        push((item, node_type, inner))
     return events
 
 

@@ -10,7 +10,7 @@ from .codegen import CodeGenerator, to_source
 from .compare import ast_equal, count_differences, first_difference
 from .nodes import Node, Program
 from .parser import ParseError, Parser, parse
-from .tokenizer import Token, TokenizeError, Tokenizer, tokenize
+from .tokenizer import Token, TokenizeError, tokenize
 from .unpack import UnpackResult, fold_constant_string, unpack_program, unpack_source
 from .walker import count_nodes, find_all, find_first, walk, walk_with_ancestors
 
@@ -27,7 +27,6 @@ __all__ = [
     "parse",
     "Token",
     "TokenizeError",
-    "Tokenizer",
     "tokenize",
     "UnpackResult",
     "fold_constant_string",

@@ -11,7 +11,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import ClassVar, Dict, Iterator, Optional, Tuple, Union
+
+#: Dataclass field names per node class, looked up once per class.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def field_names(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of node class ``cls``, in declaration order."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    return names
 
 
 @dataclass
@@ -22,9 +33,6 @@ class Node:
     extractor uses as the *context* half of its ``context:text`` features.
     """
 
-    def __post_init__(self) -> None:  # pragma: no cover - trivial
-        pass
-
     @property
     def type(self) -> str:
         """The ESTree node-type string."""
@@ -32,8 +40,8 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes in source order."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        for name in field_names(self.__class__):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, list):
@@ -43,10 +51,10 @@ class Node:
 
     def replace_child(self, old: "Node", new: "Node") -> bool:
         """Replace a direct child ``old`` with ``new``; return success."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        for name in field_names(self.__class__):
+            value = getattr(self, name)
             if value is old:
-                setattr(self, f.name, new)
+                setattr(self, name, new)
                 return True
             if isinstance(value, list):
                 for i, item in enumerate(value):
@@ -63,8 +71,17 @@ class Node:
 
 @dataclass
 class Program(Node):
-    """ESTree ``Program`` node."""
+    """ESTree ``Program`` node.
+
+    ``dynamic_calls`` is not a field, so neither ``children()`` nor ``==``
+    sees it. :func:`~repro.jsast.parser.parse` sets it to every
+    ``CallExpression`` whose callee could run code it is handed (``eval``,
+    ``Function``, ``setTimeout``, ``setInterval``, or a non-computed
+    ``.eval``/``.write``/``.writeln`` member), which lets the unpacker skip
+    its tree walks. ``None`` means unknown: a hand-built or edited tree.
+    """
     body: list = field(default_factory=list)
+    dynamic_calls: ClassVar[Optional[list]] = None
 
 
 @dataclass
@@ -253,12 +270,6 @@ class ThisExpression(Node):
 class ArrayExpression(Node):
     """ESTree ``ArrayExpression`` node."""
     elements: list = field(default_factory=list)  # items may be None (elision)
-
-    def children(self) -> Iterator[Node]:
-        """Direct child nodes in source order."""
-        for item in self.elements:
-            if isinstance(item, Node):
-                yield item
 
 
 @dataclass

@@ -9,6 +9,10 @@ with and without arguments, and automatic semicolon insertion.
 The produced tree uses the ESTree-flavoured nodes from
 :mod:`repro.jsast.nodes`, which is what the paper's static feature
 extraction is defined over.
+
+The parser compares tokens by ``raw`` alone: a punctuator's or keyword's
+raw text is never the raw text of a token of another kind (identifiers are
+never keywords, string raws keep their quotes, and the EOF raw is empty).
 """
 
 from __future__ import annotations
@@ -28,6 +32,19 @@ class ParseError(ValueError):
         super().__init__(f"{message} near {shown!r} ({where})")
         self.token = token
 
+
+#: Deepest nesting ``parse`` accepts; deeper input raises ParseError.
+#: A level is counted on entry to ``parse_statement``, ``parse_assignment``,
+#: ``_parse_new``, ``_parse_object``, ``_parse_function_rest`` and each
+#: prefix operator. Every cycle through the grammar passes one of them, and
+#: at most four Python frames separate one counted entry from the next (for
+#: instance parse_assignment, _parse_binary, _parse_unary and
+#: parse_expression for a parenthesised expression). A parse at the cap
+#: therefore needs at most 4 * 160 + 8 frames, leaving about 350 of the
+#: interpreter's default recursion limit of 1,000 to its callers (a serve
+#: thread, a test runner). The perfbench pool, the §5 corpus and the
+#: script generators nest at most 19 levels.
+MAX_NESTING = 160
 
 # Binary operator precedence, ESTree operator strings. Higher binds tighter.
 _BINARY_PRECEDENCE = {
@@ -58,8 +75,11 @@ _BINARY_PRECEDENCE = {
 
 _ASSIGNMENT_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", ">>>=", "&=", "|=", "^="}
 
-_UNARY_OPS = {"+", "-", "!", "~"}
-_UNARY_KEYWORDS = {"typeof", "void", "delete"}
+_PREFIX_OPS = {"+", "-", "!", "~", "typeof", "void", "delete", "++", "--"}
+
+#: Callees whose calls the unpacker may act on (see ``Program.dynamic_calls``).
+_DYNAMIC_CALLEES = frozenset({"eval", "Function", "setTimeout", "setInterval"})
+_DYNAMIC_METHODS = frozenset({"eval", "write", "writeln"})
 
 
 class Parser:
@@ -68,48 +88,57 @@ class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self.tokens = tokens
         self.index = 0
+        #: The token at the cursor.
+        self.current = tokens[0]
+        self.depth = 0
+        self.dynamic_calls: List[N.CallExpression] = []
 
     # -- token helpers -------------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        """The token at the cursor."""
-        return self.tokens[self.index]
 
     def _peek(self, offset: int = 1) -> Token:
         index = min(self.index + offset, len(self.tokens) - 1)
         return self.tokens[index]
 
     def _advance(self) -> Token:
-        token = self.tokens[self.index]
+        token = self.current
         if token.kind != "eof":
             self.index += 1
+            self.current = self.tokens[self.index]
         return token
 
     def _expect_punct(self, value: str) -> Token:
-        if not self.current.is_punct(value):
+        if self.current.raw != value:
             raise ParseError(f"expected {value!r}", self.current)
         return self._advance()
 
     def _expect_keyword(self, value: str) -> Token:
-        if not self.current.is_keyword(value):
+        if self.current.raw != value:
             raise ParseError(f"expected keyword {value!r}", self.current)
         return self._advance()
 
     def _eat_punct(self, value: str) -> bool:
-        if self.current.is_punct(value):
+        if self.current.raw == value:
             self._advance()
             return True
         return False
 
     def _consume_semicolon(self) -> None:
         """Consume a statement terminator, honouring ASI."""
-        if self._eat_punct(";"):
-            return
         token = self.current
-        if token.kind == "eof" or token.is_punct("}") or token.newline_before:
+        if token.raw == ";":
+            self._advance()
+            return
+        if token.kind == "eof" or token.raw == "}" or token.newline_before:
             return
         raise ParseError("expected ';'", token)
+
+    def _nest(self) -> int:
+        """Enter one nesting level; returns the level to restore on exit."""
+        depth = self.depth
+        if depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.current)
+        self.depth = depth + 1
+        return depth
 
     # -- entry point ---------------------------------------------------------
 
@@ -118,56 +147,44 @@ class Parser:
         body: List[N.Node] = []
         while self.current.kind != "eof":
             body.append(self.parse_statement())
-        return N.Program(body=body)
+        program = N.Program(body=body)
+        program.dynamic_calls = self.dynamic_calls
+        return program
 
     # -- statements ----------------------------------------------------------
 
     def parse_statement(self) -> N.Node:
         """Parse one statement (dispatching on the leading token)."""
+        depth = self._nest()
         token = self.current
-        if token.kind == "punct":
-            if token.raw == "{":
-                return self.parse_block()
-            if token.raw == ";":
-                self._advance()
-                return N.EmptyStatement()
-        if token.kind == "keyword":
-            handler = {
-                "var": self._parse_variable_statement,
-                "function": self._parse_function_declaration,
-                "if": self._parse_if,
-                "for": self._parse_for,
-                "while": self._parse_while,
-                "do": self._parse_do_while,
-                "return": self._parse_return,
-                "break": lambda: self._parse_break_continue(N.BreakStatement),
-                "continue": lambda: self._parse_break_continue(N.ContinueStatement),
-                "throw": self._parse_throw,
-                "try": self._parse_try,
-                "switch": self._parse_switch,
-                "debugger": self._parse_debugger,
-                "with": self._parse_with,
-            }.get(token.raw)
-            if handler is not None:
-                return handler()
-        if token.kind == "identifier" and self._peek().is_punct(":"):
+        handler = _STATEMENT_PARSERS.get(token.raw)
+        if handler is not None:
+            statement = handler(self)
+        elif token.kind == "identifier" and self.tokens[self.index + 1].raw == ":":
             label = N.Identifier(name=self._advance().value)
             self._advance()  # ':'
-            return N.LabeledStatement(label=label, body=self.parse_statement())
-        expression = self.parse_expression()
-        self._consume_semicolon()
-        return N.ExpressionStatement(expression=expression)
+            statement = N.LabeledStatement(label=label, body=self.parse_statement())
+        else:
+            expression = self.parse_expression()
+            self._consume_semicolon()
+            statement = N.ExpressionStatement(expression=expression)
+        self.depth = depth
+        return statement
 
     def parse_block(self) -> N.BlockStatement:
         """Parse a { ... } statement list."""
         self._expect_punct("{")
         body: List[N.Node] = []
-        while not self.current.is_punct("}"):
+        while self.current.raw != "}":
             if self.current.kind == "eof":
                 raise ParseError("unterminated block", self.current)
             body.append(self.parse_statement())
         self._advance()
         return N.BlockStatement(body=body)
+
+    def _parse_empty(self) -> N.EmptyStatement:
+        self._advance()
+        return N.EmptyStatement()
 
     def _parse_variable_statement(self) -> N.VariableDeclaration:
         declaration = self._parse_variable_declaration()
@@ -202,14 +219,16 @@ class Parser:
         return N.FunctionDeclaration(id=name, params=params, body=body)
 
     def _parse_function_rest(self) -> tuple:
+        depth = self._nest()
         self._expect_punct("(")
         params: List[N.Identifier] = []
-        if not self.current.is_punct(")"):
+        if self.current.raw != ")":
             params.append(self._parse_identifier())
             while self._eat_punct(","):
                 params.append(self._parse_identifier())
         self._expect_punct(")")
         body = self.parse_block()
+        self.depth = depth
         return params, body
 
     def _parse_if(self) -> N.IfStatement:
@@ -219,7 +238,7 @@ class Parser:
         self._expect_punct(")")
         consequent = self.parse_statement()
         alternate = None
-        if self.current.is_keyword("else"):
+        if self.current.raw == "else":
             self._advance()
             alternate = self.parse_statement()
         return N.IfStatement(test=test, consequent=consequent, alternate=alternate)
@@ -228,11 +247,11 @@ class Parser:
         self._expect_keyword("for")
         self._expect_punct("(")
         init: Optional[N.Node] = None
-        if self.current.is_punct(";"):
+        if self.current.raw == ";":
             self._advance()
-        elif self.current.is_keyword("var"):
+        elif self.current.raw == "var":
             init = self._parse_variable_declaration(no_in=True)
-            if self.current.is_keyword("in"):
+            if self.current.raw == "in":
                 self._advance()
                 right = self.parse_expression()
                 self._expect_punct(")")
@@ -240,16 +259,16 @@ class Parser:
             self._expect_punct(";")
         else:
             init_expr = self.parse_expression(no_in=True)
-            if self.current.is_keyword("in"):
+            if self.current.raw == "in":
                 self._advance()
                 right = self.parse_expression()
                 self._expect_punct(")")
                 return N.ForInStatement(left=init_expr, right=right, body=self.parse_statement())
             init = N.ExpressionStatement(expression=init_expr)
             self._expect_punct(";")
-        test = None if self.current.is_punct(";") else self.parse_expression()
+        test = None if self.current.raw == ";" else self.parse_expression()
         self._expect_punct(";")
-        update = None if self.current.is_punct(")") else self.parse_expression()
+        update = None if self.current.raw == ")" else self.parse_expression()
         self._expect_punct(")")
         return N.ForStatement(init=init, test=test, update=update, body=self.parse_statement())
 
@@ -275,8 +294,8 @@ class Parser:
         argument = None
         token = self.current
         if not (
-            token.is_punct(";")
-            or token.is_punct("}")
+            token.raw == ";"
+            or token.raw == "}"
             or token.kind == "eof"
             or token.newline_before
         ):
@@ -284,14 +303,20 @@ class Parser:
         self._consume_semicolon()
         return N.ReturnStatement(argument=argument)
 
-    def _parse_break_continue(self, cls) -> N.Node:
+    def _parse_jump_label(self) -> Optional[N.Identifier]:
         self._advance()  # break / continue
         label = None
         token = self.current
         if token.kind == "identifier" and not token.newline_before:
             label = self._parse_identifier()
         self._consume_semicolon()
-        return cls(label=label)
+        return label
+
+    def _parse_break(self) -> N.BreakStatement:
+        return N.BreakStatement(label=self._parse_jump_label())
+
+    def _parse_continue(self) -> N.ContinueStatement:
+        return N.ContinueStatement(label=self._parse_jump_label())
 
     def _parse_throw(self) -> N.ThrowStatement:
         self._expect_keyword("throw")
@@ -304,13 +329,13 @@ class Parser:
         block = self.parse_block()
         handler = None
         finalizer = None
-        if self.current.is_keyword("catch"):
+        if self.current.raw == "catch":
             self._advance()
             self._expect_punct("(")
             param = self._parse_identifier()
             self._expect_punct(")")
             handler = N.CatchClause(param=param, body=self.parse_block())
-        if self.current.is_keyword("finally"):
+        if self.current.raw == "finally":
             self._advance()
             finalizer = self.parse_block()
         if handler is None and finalizer is None:
@@ -324,22 +349,18 @@ class Parser:
         self._expect_punct(")")
         self._expect_punct("{")
         cases: List[N.SwitchCase] = []
-        while not self.current.is_punct("}"):
-            if self.current.is_keyword("case"):
+        while self.current.raw != "}":
+            if self.current.raw == "case":
                 self._advance()
                 test = self.parse_expression()
-            elif self.current.is_keyword("default"):
+            elif self.current.raw == "default":
                 self._advance()
                 test = None
             else:
                 raise ParseError("expected 'case' or 'default'", self.current)
             self._expect_punct(":")
             consequent: List[N.Node] = []
-            while not (
-                self.current.is_punct("}")
-                or self.current.is_keyword("case")
-                or self.current.is_keyword("default")
-            ):
+            while self.current.raw not in ("}", "case", "default"):
                 if self.current.kind == "eof":
                     raise ParseError("unterminated switch", self.current)
                 consequent.append(self.parse_statement())
@@ -364,7 +385,7 @@ class Parser:
     def parse_expression(self, no_in: bool = False) -> N.Node:
         """Parse a (possibly comma-sequenced) expression."""
         expression = self.parse_assignment(no_in=no_in)
-        if not self.current.is_punct(","):
+        if self.current.raw != ",":
             return expression
         expressions = [expression]
         while self._eat_punct(","):
@@ -372,125 +393,153 @@ class Parser:
         return N.SequenceExpression(expressions=expressions)
 
     def parse_assignment(self, no_in: bool = False) -> N.Node:
-        """Parse an assignment-level expression."""
-        left = self._parse_conditional(no_in)
+        """Parse an assignment-level (or conditional) expression."""
+        depth = self._nest()
+        left = self._parse_binary(no_in)
         token = self.current
-        if token.kind == "punct" and token.raw in _ASSIGNMENT_OPS:
+        if token.raw == "?":
+            self._advance()
+            consequent = self.parse_assignment()
+            self._expect_punct(":")
+            alternate = self.parse_assignment(no_in=no_in)
+            left = N.ConditionalExpression(test=left, consequent=consequent, alternate=alternate)
+            token = self.current
+        if token.raw in _ASSIGNMENT_OPS:
             if not isinstance(left, (N.Identifier, N.MemberExpression)):
                 raise ParseError("invalid assignment target", token)
             self._advance()
             right = self.parse_assignment(no_in=no_in)
-            return N.AssignmentExpression(operator=token.raw, left=left, right=right)
+            left = N.AssignmentExpression(operator=token.raw, left=left, right=right)
+        self.depth = depth
         return left
 
-    def _parse_conditional(self, no_in: bool) -> N.Node:
-        test = self._parse_binary(0, no_in)
-        if not self._eat_punct("?"):
-            return test
-        consequent = self.parse_assignment()
-        self._expect_punct(":")
-        alternate = self.parse_assignment(no_in=no_in)
-        return N.ConditionalExpression(test=test, consequent=consequent, alternate=alternate)
+    def _parse_binary(self, no_in: bool) -> N.Node:
+        """Operator-precedence parse of a binary chain, left-associative.
 
-    def _binary_operator(self, no_in: bool) -> Optional[str]:
-        token = self.current
-        if token.kind == "punct" and token.raw in _BINARY_PRECEDENCE:
-            return token.raw
-        if token.is_keyword("instanceof"):
-            return "instanceof"
-        if token.is_keyword("in") and not no_in:
-            return "in"
-        return None
-
-    def _parse_binary(self, min_precedence: int, no_in: bool) -> N.Node:
+        Builds the same tree as precedence climbing, with an explicit
+        operator stack instead of one recursive call per precedence level.
+        """
         left = self._parse_unary(no_in)
+        raw = self.current.raw
+        precedence = _BINARY_PRECEDENCE.get(raw)
+        if precedence is None or (no_in and raw == "in"):
+            return left
+        operands = [left]
+        operators: List[tuple] = []
         while True:
-            operator = self._binary_operator(no_in)
-            if operator is None:
-                return left
-            precedence = _BINARY_PRECEDENCE[operator]
-            if precedence < min_precedence:
-                return left
+            while operators and operators[-1][0] >= precedence:
+                _reduce(operators, operands)
+            operators.append((precedence, raw))
             self._advance()
-            right = self._parse_binary(precedence + 1, no_in)
-            cls = N.LogicalExpression if operator in ("&&", "||") else N.BinaryExpression
-            left = cls(operator=operator, left=left, right=right)
+            operands.append(self._parse_unary(no_in))
+            raw = self.current.raw
+            precedence = _BINARY_PRECEDENCE.get(raw)
+            if precedence is None or (no_in and raw == "in"):
+                break
+        while operators:
+            _reduce(operators, operands)
+        return operands[0]
 
     def _parse_unary(self, no_in: bool) -> N.Node:
+        """Parse one operand: prefix operators, a primary expression, its
+        member and call suffixes, and a postfix ``++``/``--``."""
         token = self.current
-        if token.kind == "punct" and token.raw in _UNARY_OPS:
-            self._advance()
-            return N.UnaryExpression(operator=token.raw, argument=self._parse_unary(no_in))
-        if token.kind == "keyword" and token.raw in _UNARY_KEYWORDS:
-            self._advance()
-            return N.UnaryExpression(operator=token.raw, argument=self._parse_unary(no_in))
-        if token.is_punct("++", "--"):
+        raw = token.raw
+        if raw in _PREFIX_OPS:
+            depth = self._nest()
             self._advance()
             argument = self._parse_unary(no_in)
-            return N.UpdateExpression(operator=token.raw, argument=argument, prefix=True)
-        return self._parse_postfix(no_in)
-
-    def _parse_postfix(self, no_in: bool) -> N.Node:
-        expression = self._parse_call(no_in)
-        token = self.current
-        if token.is_punct("++", "--") and not token.newline_before:
+            self.depth = depth
+            if raw == "++" or raw == "--":
+                return N.UpdateExpression(operator=raw, argument=argument, prefix=True)
+            return N.UnaryExpression(operator=raw, argument=argument)
+        # The nesting primaries are parsed here rather than in _parse_primary
+        # to keep each nesting level within four frames (see MAX_NESTING).
+        if token.kind == "identifier":
             self._advance()
-            return N.UpdateExpression(operator=token.raw, argument=expression, prefix=False)
-        return expression
-
-    def _parse_call(self, no_in: bool) -> N.Node:
-        if self.current.is_keyword("new"):
+            expression = N.Identifier(name=token.value)
+        elif raw == "(":
+            self._advance()
+            expression = self.parse_expression()
+            self._expect_punct(")")
+        elif raw == "[":
+            expression = self._parse_array()
+        elif raw == "{":
+            expression = self._parse_object()
+        elif raw == "function":
+            expression = self._parse_function_expression()
+        elif raw == "new":
             expression = self._parse_new()
         else:
             expression = self._parse_primary()
         while True:
-            if self._eat_punct("."):
+            raw = self.current.raw
+            if raw == ".":
+                self._advance()
                 token = self.current
-                if token.kind not in ("identifier", "keyword"):
+                if token.kind != "identifier" and token.kind != "keyword":
                     raise ParseError("expected property name", token)
                 self._advance()
                 prop = N.Identifier(name=token.raw)
                 expression = N.MemberExpression(object=expression, property=prop, computed=False)
-            elif self.current.is_punct("["):
+            elif raw == "(":
+                call = N.CallExpression(callee=expression, arguments=self._parse_arguments())
+                if (
+                    expression.__class__ is N.Identifier
+                    and expression.name in _DYNAMIC_CALLEES
+                ) or (
+                    expression.__class__ is N.MemberExpression
+                    and not expression.computed
+                    and expression.property.name in _DYNAMIC_METHODS
+                ):
+                    self.dynamic_calls.append(call)
+                expression = call
+            elif raw == "[":
                 self._advance()
                 prop = self.parse_expression()
                 self._expect_punct("]")
                 expression = N.MemberExpression(object=expression, property=prop, computed=True)
-            elif self.current.is_punct("("):
-                arguments = self._parse_arguments()
-                expression = N.CallExpression(callee=expression, arguments=arguments)
+            elif (raw == "++" or raw == "--") and not self.current.newline_before:
+                self._advance()
+                return N.UpdateExpression(operator=raw, argument=expression, prefix=False)
             else:
                 return expression
 
     def _parse_new(self) -> N.Node:
-        self._expect_keyword("new")
-        if self.current.is_keyword("new"):
-            callee: N.Node = self._parse_new()
-        else:
-            callee = self._parse_primary()
-        # Member accesses bind tighter than the new-expression call.
-        while True:
-            if self._eat_punct("."):
-                token = self.current
-                if token.kind not in ("identifier", "keyword"):
-                    raise ParseError("expected property name", token)
-                self._advance()
-                prop = N.Identifier(name=token.raw)
-                callee = N.MemberExpression(object=callee, property=prop, computed=False)
-            elif self.current.is_punct("["):
-                self._advance()
-                prop = self.parse_expression()
-                self._expect_punct("]")
-                callee = N.MemberExpression(object=callee, property=prop, computed=True)
-            else:
-                break
-        arguments = self._parse_arguments() if self.current.is_punct("(") else []
-        return N.NewExpression(callee=callee, arguments=arguments)
+        # ``new new X(a)(b)``: each ``new`` takes the member accesses and the
+        # argument list that follow the expression built so far.
+        depth = self._nest()
+        count = 0
+        while self.current.raw == "new":
+            self._advance()
+            count += 1
+        callee = self._parse_primary()
+        for _ in range(count):
+            # Member accesses bind tighter than the new-expression call.
+            while True:
+                if self._eat_punct("."):
+                    token = self.current
+                    if token.kind not in ("identifier", "keyword"):
+                        raise ParseError("expected property name", token)
+                    self._advance()
+                    prop = N.Identifier(name=token.raw)
+                    callee = N.MemberExpression(object=callee, property=prop, computed=False)
+                elif self.current.raw == "[":
+                    self._advance()
+                    prop = self.parse_expression()
+                    self._expect_punct("]")
+                    callee = N.MemberExpression(object=callee, property=prop, computed=True)
+                else:
+                    break
+            arguments = self._parse_arguments() if self.current.raw == "(" else []
+            callee = N.NewExpression(callee=callee, arguments=arguments)
+        self.depth = depth
+        return callee
 
     def _parse_arguments(self) -> List[N.Node]:
         self._expect_punct("(")
         arguments: List[N.Node] = []
-        if not self.current.is_punct(")"):
+        if self.current.raw != ")":
             arguments.append(self.parse_assignment())
             while self._eat_punct(","):
                 arguments.append(self.parse_assignment())
@@ -499,47 +548,44 @@ class Parser:
 
     def _parse_primary(self) -> N.Node:
         token = self.current
-        if token.kind == "identifier":
+        kind = token.kind
+        if kind == "identifier":
             self._advance()
             return N.Identifier(name=token.value)
-        if token.kind == "number":
+        if kind == "string" or kind == "number":
             self._advance()
             return N.Literal(value=token.value, raw=token.raw)
-        if token.kind == "string":
-            self._advance()
-            return N.Literal(value=token.value, raw=token.raw)
-        if token.kind == "regex":
-            self._advance()
-            return N.Literal(value=token.raw, raw=token.raw, regex=token.value)
-        if token.kind == "keyword":
-            if token.raw == "this":
-                self._advance()
-                return N.ThisExpression()
-            if token.raw == "true":
-                self._advance()
-                return N.Literal(value=True, raw="true")
-            if token.raw == "false":
-                self._advance()
-                return N.Literal(value=False, raw="false")
-            if token.raw == "null":
-                self._advance()
-                return N.Literal(value=None, raw="null")
-            if token.raw == "undefined":
-                self._advance()
-                return N.Identifier(name="undefined")
-            if token.raw == "function":
-                return self._parse_function_expression()
-            if token.raw == "new":
-                return self._parse_new()
-        if token.is_punct("("):
+        raw = token.raw
+        if raw == "(":
             self._advance()
             expression = self.parse_expression()
             self._expect_punct(")")
             return expression
-        if token.is_punct("["):
+        if raw == "[":
             return self._parse_array()
-        if token.is_punct("{"):
+        if raw == "{":
             return self._parse_object()
+        if raw == "function":
+            return self._parse_function_expression()
+        if kind == "keyword":
+            if raw == "this":
+                self._advance()
+                return N.ThisExpression()
+            if raw == "true":
+                self._advance()
+                return N.Literal(value=True, raw="true")
+            if raw == "false":
+                self._advance()
+                return N.Literal(value=False, raw="false")
+            if raw == "null":
+                self._advance()
+                return N.Literal(value=None, raw="null")
+            if raw == "undefined":
+                self._advance()
+                return N.Identifier(name="undefined")
+        elif kind == "regex":
+            self._advance()
+            return N.Literal(value=token.raw, raw=token.raw, regex=token.value)
         raise ParseError("unexpected token", token)
 
     def _parse_function_expression(self) -> N.FunctionExpression:
@@ -553,25 +599,27 @@ class Parser:
     def _parse_array(self) -> N.ArrayExpression:
         self._expect_punct("[")
         elements: List[Optional[N.Node]] = []
-        while not self.current.is_punct("]"):
-            if self.current.is_punct(","):
+        while self.current.raw != "]":
+            if self.current.raw == ",":
                 self._advance()
                 elements.append(None)  # elision
                 continue
             elements.append(self.parse_assignment())
-            if not self.current.is_punct("]"):
+            if self.current.raw != "]":
                 self._expect_punct(",")
         self._advance()
         return N.ArrayExpression(elements=elements)
 
     def _parse_object(self) -> N.ObjectExpression:
+        depth = self._nest()
         self._expect_punct("{")
         properties: List[N.Property] = []
-        while not self.current.is_punct("}"):
+        while self.current.raw != "}":
             properties.append(self._parse_property())
-            if not self.current.is_punct("}"):
+            if self.current.raw != "}":
                 self._expect_punct(",")
         self._advance()
+        self.depth = depth
         return N.ObjectExpression(properties=properties)
 
     def _parse_property(self) -> N.Property:
@@ -608,20 +656,42 @@ class Parser:
         raise ParseError("expected property key", token)
 
 
+def _reduce(operators: list, operands: list) -> None:
+    """Pop one operator and its two operands into a binary node."""
+    operator = operators.pop()[1]
+    right = operands.pop()
+    cls = N.LogicalExpression if operator in ("&&", "||") else N.BinaryExpression
+    operands[-1] = cls(operator=operator, left=operands[-1], right=right)
+
+
+#: Statement parsers by leading token; every other statement is an
+#: expression statement or a labeled statement.
+_STATEMENT_PARSERS = {
+    "{": Parser.parse_block,
+    ";": Parser._parse_empty,
+    "var": Parser._parse_variable_statement,
+    "function": Parser._parse_function_declaration,
+    "if": Parser._parse_if,
+    "for": Parser._parse_for,
+    "while": Parser._parse_while,
+    "do": Parser._parse_do_while,
+    "return": Parser._parse_return,
+    "break": Parser._parse_break,
+    "continue": Parser._parse_continue,
+    "throw": Parser._parse_throw,
+    "try": Parser._parse_try,
+    "switch": Parser._parse_switch,
+    "debugger": Parser._parse_debugger,
+    "with": Parser._parse_with,
+}
+
+
 def parse(source: str) -> N.Program:
     """Parse JavaScript ``source`` into an ESTree-style :class:`Program`.
 
-    Recursive descent needs roughly eight Python frames per nesting level;
-    minified real-world scripts nest deeply, so the recursion limit is
-    raised for the duration of the parse.
+    Raises :class:`~repro.jsast.tokenizer.TokenizeError` or
+    :class:`ParseError` and nothing else; input nested deeper than
+    :data:`MAX_NESTING` is a ParseError, so a parse never needs more than
+    the default recursion limit.
     """
-    import sys
-
-    limit = sys.getrecursionlimit()
-    wanted = 50_000
-    try:
-        if limit < wanted:
-            sys.setrecursionlimit(wanted)
-        return Parser(tokenize(source)).parse_program()
-    finally:
-        sys.setrecursionlimit(limit)
+    return Parser(tokenize(source)).parse_program()

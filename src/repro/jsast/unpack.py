@@ -13,18 +13,23 @@ sees the real anti-adblocking logic, not the packer shell.
 
 from __future__ import annotations
 
-import copy
+import math
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from . import nodes as N
 from .parser import ParseError, parse
 from .tokenizer import TokenizeError
-from .walker import walk_with_ancestors
+from .walker import walk, walk_with_ancestors
 
 #: Upper bound on unpacking passes; packers nest but never this deep.
 MAX_UNPACK_ROUNDS = 8
+
+#: Deepest recursion :func:`fold_constant_string` follows (method chains,
+#: nested arrays and sequences) before it gives up on a payload; each level
+#: costs at most three Python frames. ``+`` chains fold without recursing.
+MAX_FOLD_DEPTH = 100
 
 
 @dataclass
@@ -60,8 +65,16 @@ def fold_constant_string(node: N.Node) -> Optional[str]:
     ``String.fromCharCode(...)`` with literal arguments, ``'...'.split('')``
     joins, array ``join`` over literal elements, and parenthesised/sequence
     wrappers. This covers the packer idioms observed in anti-adblock
-    deployments.
+    deployments. Never raises: a non-finite number, an invalid code point
+    or nesting deeper than :data:`MAX_FOLD_DEPTH` does not fold.
     """
+    return _fold(node, 0)
+
+
+def _fold(node: N.Node, depth: int) -> Optional[str]:
+    if depth > MAX_FOLD_DEPTH:
+        return None
+    depth += 1
     if isinstance(node, N.Literal) and node.regex is None:
         if isinstance(node.value, str):
             return node.value
@@ -69,25 +82,33 @@ def fold_constant_string(node: N.Node) -> Optional[str]:
             return _js_number_to_string(node.value)
         return None
     if isinstance(node, N.BinaryExpression) and node.operator == "+":
-        left = fold_constant_string(node.left)
-        right = fold_constant_string(node.right)
-        if left is not None and right is not None:
-            return left + right
-        return None
+        # The parser builds ``a + b + c`` left-deep: walk down the left
+        # spine instead of recursing, so a long chain cannot overflow.
+        rights = []
+        while isinstance(node, N.BinaryExpression) and node.operator == "+":
+            rights.append(node.right)
+            node = node.left
+        parts = [_fold(node, depth)]
+        parts.extend(_fold(right, depth) for right in reversed(rights))
+        if None in parts:
+            return None
+        return "".join(parts)
     if isinstance(node, N.SequenceExpression) and node.expressions:
-        return fold_constant_string(node.expressions[-1])
+        return _fold(node.expressions[-1], depth)
     if isinstance(node, N.CallExpression):
-        return _fold_call(node)
+        return _fold_call(node, depth)
     return None
 
 
-def _js_number_to_string(value: float) -> str:
-    if value == int(value):
+def _js_number_to_string(value: float) -> Optional[str]:
+    if not math.isfinite(value):
+        return None
+    if value.is_integer():
         return str(int(value))
     return repr(value)
 
 
-def _fold_call(node: N.CallExpression) -> Optional[str]:
+def _fold_call(node: N.CallExpression, depth: int) -> Optional[str]:
     callee = node.callee
     if not isinstance(callee, N.MemberExpression) or callee.computed:
         return None
@@ -97,18 +118,23 @@ def _fold_call(node: N.CallExpression) -> Optional[str]:
     if method == "fromCharCode" and _is_member_path(callee.object, ("String",)):
         codes = []
         for arg in node.arguments:
-            if isinstance(arg, N.Literal) and isinstance(arg.value, float):
+            # chr() takes 0..0x10FFFF; anything else does not fold.
+            if (
+                isinstance(arg, N.Literal)
+                and isinstance(arg.value, float)
+                and -1 < arg.value < 0x110000
+            ):
                 codes.append(chr(int(arg.value)))
             else:
                 return None
         return "".join(codes)
     if method == "join":
-        elements = _fold_array_elements(callee.object)
+        elements = _fold_array_elements(callee.object, depth)
         if elements is None:
             return None
         separator = ","
         if node.arguments:
-            folded = fold_constant_string(node.arguments[0])
+            folded = _fold(node.arguments[0], depth)
             if folded is None:
                 return None
             separator = folded
@@ -119,23 +145,26 @@ def _fold_call(node: N.CallExpression) -> Optional[str]:
         # itself be a string.
         return None
     if method == "replace" and len(node.arguments) == 2:
-        base = fold_constant_string(callee.object)
-        target = fold_constant_string(node.arguments[0])
-        replacement = fold_constant_string(node.arguments[1])
+        base = _fold(callee.object, depth)
+        target = _fold(node.arguments[0], depth)
+        replacement = _fold(node.arguments[1], depth)
         if base is not None and target is not None and replacement is not None:
             return base.replace(target, replacement, 1)
     return None
 
 
-def _fold_array_elements(node: N.Node) -> Optional[List[str]]:
+def _fold_array_elements(node: N.Node, depth: int) -> Optional[List[str]]:
     """Fold an expression into a list of strings, if statically possible."""
+    if depth > MAX_FOLD_DEPTH:
+        return None
+    depth += 1
     if isinstance(node, N.ArrayExpression):
         elements: List[str] = []
         for element in node.elements:
             if element is None:
                 elements.append("")
                 continue
-            folded = fold_constant_string(element)
+            folded = _fold(element, depth)
             if folded is None:
                 return None
             elements.append(folded)
@@ -148,15 +177,15 @@ def _fold_array_elements(node: N.Node) -> Optional[List[str]]:
             and not callee.computed
         ):
             if callee.property.name == "split" and len(node.arguments) == 1:
-                base = fold_constant_string(callee.object)
-                separator = fold_constant_string(node.arguments[0])
+                base = _fold(callee.object, depth)
+                separator = _fold(node.arguments[0], depth)
                 if base is None or separator is None:
                     return None
                 if separator == "":
                     return list(base)
                 return base.split(separator)
             if callee.property.name == "reverse" and not node.arguments:
-                inner = _fold_array_elements(callee.object)
+                inner = _fold_array_elements(callee.object, depth)
                 if inner is None:
                     return None
                 return list(reversed(inner))
@@ -244,13 +273,15 @@ def _try_parse(source: str) -> Optional[N.Program]:
         return None
 
 
-def _unpack_packed_packer(program: N.Program) -> Optional[str]:
+def _unpack_packed_packer(program: N.Program) -> Optional[Tuple[str, Optional[str]]]:
     """Evaluate the Dean Edwards ``eval(function(p,a,c,k,e,d){...})`` packer.
 
     Detects the canonical shape and runs the base-N word substitution in
-    Python, returning the unpacked source.
+    Python. Returns ``(payload, unpacked source)`` for the first packer in
+    pre-order, with ``None`` for the source when its radix is not an
+    integer from 2 to 62, or ``None`` when the program holds no packer.
     """
-    for node, _ancestors in walk_with_ancestors(program):
+    for node in walk(program):
         if not isinstance(node, N.CallExpression):
             continue
         if not (isinstance(node.callee, N.Identifier) and node.callee.name == "eval"):
@@ -270,13 +301,18 @@ def _unpack_packed_packer(program: N.Program) -> Optional[str]:
         payload = fold_constant_string(inner.arguments[0])
         radix_node = inner.arguments[1]
         count_node = inner.arguments[2]
-        words = _fold_array_elements(inner.arguments[3])
+        words = _fold_array_elements(inner.arguments[3], 0)
         if payload is None or words is None:
             continue
         if not isinstance(radix_node, N.Literal) or not isinstance(count_node, N.Literal):
             continue
-        radix = int(radix_node.value)
-        return _packed_substitute(payload, radix, words)
+        try:
+            radix = int(radix_node.value)
+        except (TypeError, ValueError, OverflowError):
+            return payload, None
+        if not 2 <= radix <= len(_BASE62):
+            return payload, None
+        return payload, _packed_substitute(payload, radix, words)
     return None
 
 
@@ -307,6 +343,18 @@ def _packed_substitute(payload: str, radix: int, words: List[str]) -> str:
     return re.sub(r"\b\w+\b", replace, payload)
 
 
+def _may_act(call: N.CallExpression) -> bool:
+    """Whether an unpacking round could act on ``call``.
+
+    The packer search acts only on ``eval(...)`` calls, and the splice walk
+    only on calls whose payload :func:`_dynamic_code_sources` folds.
+    """
+    callee = call.callee
+    if isinstance(callee, N.Identifier) and callee.name == "eval":
+        return True
+    return bool(_dynamic_code_sources(call))
+
+
 def unpack_program(program: N.Program) -> UnpackResult:
     """Iteratively splice dynamically generated code into ``program``.
 
@@ -314,7 +362,15 @@ def unpack_program(program: N.Program) -> UnpackResult:
     constant string, parses the payload, and replaces the call's statement
     with the parsed statements. Rounds repeat until fixpoint or
     :data:`MAX_UNPACK_ROUNDS`.
+
+    A program straight from :func:`~repro.jsast.parser.parse` lists the
+    calls a round could act on (``Program.dynamic_calls``). When none of
+    them can act, the rounds' tree walks would change nothing, so they are
+    skipped; any other program takes the full walk.
     """
+    calls = program.dynamic_calls
+    if calls is not None and not any(_may_act(call) for call in calls):
+        return UnpackResult(program=program)
     rounds = 0
     sources: List[str] = []
     failed: Set[str] = set()
@@ -327,9 +383,12 @@ def unpack_program(program: N.Program) -> UnpackResult:
     if rounds >= MAX_UNPACK_ROUNDS:
         # Hitting the cap is only a bailout when another round would
         # still change something; a program whose fixed point lands in
-        # exactly MAX_UNPACK_ROUNDS rounds unpacked cleanly. Probe on a
-        # throwaway copy so the returned program stays capped.
-        hit_cap = _unpack_one_round(copy.deepcopy(program), [], set())
+        # exactly MAX_UNPACK_ROUNDS rounds unpacked cleanly. The probe
+        # stops short of changing the program, so it stays capped.
+        hit_cap = _unpack_one_round(program, [], set(), probe=True)
+    if rounds:
+        # The spliced tree holds calls the parser never saw.
+        program.dynamic_calls = None
     return UnpackResult(
         program=program,
         rounds=rounds,
@@ -339,16 +398,27 @@ def unpack_program(program: N.Program) -> UnpackResult:
     )
 
 
-def _unpack_one_round(program: N.Program, sources: List[str], failed: Set[str]) -> bool:
-    packed = _unpack_packed_packer(program)
-    if packed is not None:
-        parsed = _try_parse(packed)
+def _unpack_one_round(
+    program: N.Program, sources: List[str], failed: Set[str], probe: bool = False
+) -> bool:
+    """One unpacking round; whether it changed the program.
+
+    With ``probe`` set, return True where the round would first change the
+    program, and leave it untouched.
+    """
+    found = _unpack_packed_packer(program)
+    if found is not None:
+        payload, packed = found
+        parsed = _try_parse(packed) if packed is not None else None
         if parsed is not None:
+            if probe:
+                return True
             sources.append(packed)
             _remove_packer_statements(program)
             program.body.extend(parsed.body)
             return True
-        failed.add(packed)
+        # An unparseable result, or a radix the packer cannot decode.
+        failed.add(packed if packed is not None else payload)
     for node, ancestors in walk_with_ancestors(program):
         if not isinstance(node, N.CallExpression):
             continue
@@ -366,7 +436,7 @@ def _unpack_one_round(program: N.Program, sources: List[str], failed: Set[str]) 
             parsed_bodies.extend(parsed.body)
         if not parsed_bodies:
             continue
-        if _splice_statements(node, ancestors, parsed_bodies, program):
+        if probe or _splice_statements(node, ancestors, parsed_bodies, program):
             return True
     return False
 

@@ -7,9 +7,11 @@ equality), not approximately — and per-script failures must surface as
 obs counters rather than silent empty feature sets.
 """
 
+import hashlib
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.featstore import (
@@ -23,9 +25,12 @@ from repro.core.featstore import (
 from repro.core.features import features_for_corpus, features_from_source
 from repro.experiments import table3
 from repro.experiments.context import ExperimentContext
+from repro.jsast.parser import parse
+from repro.jsast.unpack import unpack_program
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import get_metrics, reset_metrics
 from repro.obs.trace import disable_tracing, enable_tracing, get_tracer
+from repro.synthesis.scripts import generate_anti_adblock, generate_benign
 from repro.synthesis.world import SyntheticWorld, WorldConfig
 
 WELL_FORMED = "if (window.adblock) { document.getElementById('ad').style.display = 'none'; }"
@@ -74,6 +79,61 @@ class TestExtractEvents:
 
     def test_no_unpack_no_bailout(self):
         assert not extract_events(BAILOUT, unpack=False).unpack_bailout
+
+
+#: A hand-written Dean Edwards ``p,a,c,k,e,d`` packer; the generators and
+#: the world's pages carry none.
+DEAN_EDWARDS = (
+    "eval(function(p,a,c,k,e,d){e=function(c){return c.toString(36)};"
+    "while(c--){if(k[c]){p=p.replace(new RegExp('\\\\b'+e(c)+'\\\\b','g'),k[c])}}"
+    "return p}('0 1=2.3(\\'4\\');1.5=\\'6\\';',7,7,"
+    "'var|bait|document|createElement|div|className|adsbox'.split('|'),0,{}))"
+)
+
+#: sha256 of the pickled ``(extract_events(s, True), extract_events(s,
+#: False))`` pairs over :func:`pinned_corpus`. No artifact digest covers
+#: the unpacker (the world holds no packed script), so this pins it.
+EXTRACTION_SHA256 = "4afbcdcbfc0191dca1022009e1524153ce0340219d37f297c1b39b7471475ed2"
+
+
+def pinned_corpus():
+    """Anti-adblock scripts (half eval-packed), benign ones, and a packer."""
+    rng = np.random.default_rng(20261019)
+    sources = []
+    for _ in range(24):
+        sources.append(generate_anti_adblock(rng, pack_probability=0.5))
+        sources.append(generate_benign(rng))
+    sources.append(DEAN_EDWARDS)
+    return sources
+
+
+class TestPinnedExtraction:
+    def test_event_streams_match_the_pin(self):
+        entries = [(extract_events(s, True), extract_events(s, False)) for s in pinned_corpus()]
+        digest = hashlib.sha256(pickle.dumps(entries, protocol=4)).hexdigest()
+        assert digest == EXTRACTION_SHA256
+
+    def test_corpus_reaches_the_unpacker(self):
+        results = [unpack_program(parse(source)) for source in pinned_corpus()]
+        assert sum(result.was_packed for result in results) >= 5
+        assert not all(result.was_packed for result in results)
+        packer = results[-1]
+        assert packer.rounds == 1
+        assert packer.unpacked_sources == [
+            "var bait=document.createElement('div');bait.className='adsbox';"
+        ]
+
+    def test_gated_unpack_equals_the_full_walk(self):
+        for source in pinned_corpus():
+            gated = unpack_program(parse(source))
+            program = parse(source)
+            program.dynamic_calls = None  # unknown calls: the full walk
+            full = unpack_program(program)
+            assert gated.program == full.program
+            assert gated.rounds == full.rounds
+            assert gated.unpacked_sources == full.unpacked_sources
+            assert gated.failed_payloads == full.failed_payloads
+            assert gated.hit_round_cap == full.hit_round_cap
 
 
 class TestStoreAccounting:

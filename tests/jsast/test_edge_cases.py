@@ -1,9 +1,13 @@
 """Edge-case tests for the JavaScript front end (tokenizer + parser)."""
 
+import sys
+
 import pytest
 
 from repro.jsast import nodes as N
-from repro.jsast.parser import ParseError, parse
+from repro.jsast import parser as parser_module
+from repro.jsast import tokenizer as tokenizer_module
+from repro.jsast.parser import MAX_NESTING, ParseError, parse
 from repro.jsast.tokenizer import TokenizeError, tokenize
 from repro.jsast.walker import count_nodes, find_all, find_first
 
@@ -118,6 +122,63 @@ class TestParserEdges:
     def test_garbage_rejected(self):
         with pytest.raises((ParseError, TokenizeError)):
             parse("### not js ###")
+
+
+def _nested(opener: str, closer: str, depth: int) -> str:
+    return "x=" + opener * depth + "1" + closer * depth
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+#: Nesting shapes that cost four frames per counted level (the most).
+WORST_SHAPES = [("(", ")"), ("[", "]"), ("f(", ")"), ("a[", "]")]
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize(
+        "opener, closer",
+        WORST_SHAPES + [("{a:", "}"), ("function(){return ", "}"), ("new (", ")"), ("!", "")],
+    )
+    def test_nesting_past_the_cap_is_a_parse_error(self, opener, closer):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse(_nested(opener, closer, MAX_NESTING + 1))
+
+    def test_deep_script_is_a_parse_error_not_a_recursion_error(self):
+        with pytest.raises(ParseError):
+            parse("var x = " + "[" * 20_000 + "1" + "]" * 20_000 + ";")
+
+    def test_parse_leaves_the_recursion_limit_alone(self, monkeypatch):
+        seen = []
+
+        def recording_tokenize(source):
+            seen.append(sys.getrecursionlimit())
+            return tokenizer_module.tokenize(source)
+
+        monkeypatch.setattr(parser_module, "tokenize", recording_tokenize)
+        parse("var x = [[1]];")
+        assert seen == [sys.getrecursionlimit()]
+
+    @pytest.mark.parametrize("opener, closer", WORST_SHAPES)
+    def test_a_parse_at_the_cap_fits_the_default_recursion_limit(self, opener, closer):
+        # ``x=`` takes three levels: the statement and two assignments.
+        source = _nested(opener, closer, MAX_NESTING - 3)
+        callers = 300  # a test runner or a serve thread, with room to spare
+
+        def descend(frames):
+            return descend(frames - 1) if frames > 0 else parse(source)
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            program = descend(callers - _stack_depth())
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(program.body[0].expression, N.AssignmentExpression)
 
 
 class TestWalkerHelpers:
