@@ -41,7 +41,7 @@ def test_batched_loadgen_speedup(tmp_path, monkeypatch):
 
     ctx = ExperimentContext.create(scale=SCALE)
     state = resolve_serve_state(ctx)
-    daemon = ServeDaemon(build_engine(state, workers=0), port=0)
+    daemon = ServeDaemon(build_engine(state), port=0)
     host, port = daemon.start()
     try:
         # Warm the server's code paths with a seed neither mode reuses.

@@ -61,7 +61,7 @@ def test_sharded_aggregate_qps(tmp_path, monkeypatch):
     write_snapshot(snapshot_path, state)
 
     # -- single-process batched baseline ----------------------------------
-    daemon = ServeDaemon(build_engine(state, workers=0), port=0)
+    daemon = ServeDaemon(build_engine(state), port=0)
     host, port = daemon.start()
     try:
         run_network(host, port, generate_queries(99, 100), concurrency=CONCURRENCY)

@@ -295,31 +295,6 @@ class PersistentPool:
                 metrics.count(name, value)
         return [result for result, _ in outputs]
 
-    def submit(
-        self,
-        task: Callable,
-        payload: Any,
-        key: Optional[str] = None,
-        make: Optional[Callable] = None,
-        extra: tuple = (),
-    ):
-        """Dispatch one ``task(worker_state, payload, *extra)`` asynchronously.
-
-        The pipelined sibling of :meth:`run`: the serve daemon's batcher
-        uses it to keep the next batch in flight while the current one is
-        being serialised back to clients. Returns a future whose
-        ``result()`` yields the task result after absorbing the worker's
-        ``dataplane.*`` counter delta into the parent registry, or
-        ``None`` when no fork pool is available (caller falls back to
-        inline execution).
-        """
-        executor = self._ensure_executor()
-        if executor is None:  # pragma: no cover - non-fork platforms
-            return None
-        inner = executor.submit(_run_persistent_task, task, key, make, payload, extra)
-        self.runs += 1
-        return _PoolFuture(inner)
-
     def close(self) -> None:
         """Shut the workers down and unpublish the state."""
         global _POOL_PUBLISHED
@@ -328,32 +303,6 @@ class PersistentPool:
             self._executor = None
             if _POOL_PUBLISHED is self.state:
                 _POOL_PUBLISHED = None
-
-
-class _PoolFuture:
-    """Wraps an executor future to unwrap ``(result, counter_delta)``.
-
-    The delta is merged into the parent metrics registry exactly once,
-    on the first ``result()`` call.
-    """
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self._absorbed = False
-
-    def done(self) -> bool:
-        return self._inner.done()
-
-    def result(self, timeout: Optional[float] = None):
-        result, delta = self._inner.result(timeout)
-        if not self._absorbed:
-            self._absorbed = True
-            from ..obs.metrics import get_metrics
-
-            metrics = get_metrics()
-            for name, value in delta.items():
-                metrics.count(name, value)
-        return result
 
 
 #: The process-wide persistent pool (``REPRO_POOL_PERSIST``).

@@ -31,6 +31,12 @@ MAX_UNPACK_ROUNDS = 8
 #: costs at most three Python frames. ``+`` chains fold without recursing.
 MAX_FOLD_DEPTH = 100
 
+#: Longest string (or array of strings, in total) a fold or a packer
+#: substitution may build: the serve daemon's 4 MiB frame cap. ``join``,
+#: ``+`` and ``replace`` multiply a short script's size, so each result's
+#: length is computed first, and a payload past the bound does not fold.
+MAX_FOLD_CHARS = 4 * 1024 * 1024
+
 
 @dataclass
 class UnpackResult:
@@ -65,8 +71,9 @@ def fold_constant_string(node: N.Node) -> Optional[str]:
     ``String.fromCharCode(...)`` with literal arguments, ``'...'.split('')``
     joins, array ``join`` over literal elements, and parenthesised/sequence
     wrappers. This covers the packer idioms observed in anti-adblock
-    deployments. Never raises: a non-finite number, an invalid code point
-    or nesting deeper than :data:`MAX_FOLD_DEPTH` does not fold.
+    deployments. Never raises: a non-finite number, an invalid code point,
+    nesting deeper than :data:`MAX_FOLD_DEPTH` or a result longer than
+    :data:`MAX_FOLD_CHARS` does not fold.
     """
     return _fold(node, 0)
 
@@ -88,10 +95,16 @@ def _fold(node: N.Node, depth: int) -> Optional[str]:
         while isinstance(node, N.BinaryExpression) and node.operator == "+":
             rights.append(node.right)
             node = node.left
-        parts = [_fold(node, depth)]
-        parts.extend(_fold(right, depth) for right in reversed(rights))
-        if None in parts:
-            return None
+        parts = []
+        size = 0
+        for operand in [node, *reversed(rights)]:
+            part = _fold(operand, depth)
+            if part is None:
+                return None
+            size += len(part)
+            if size > MAX_FOLD_CHARS:
+                return None
+            parts.append(part)
         return "".join(parts)
     if isinstance(node, N.SequenceExpression) and node.expressions:
         return _fold(node.expressions[-1], depth)
@@ -138,6 +151,9 @@ def _fold_call(node: N.CallExpression, depth: int) -> Optional[str]:
             if folded is None:
                 return None
             separator = folded
+        size = sum(map(len, elements)) + len(separator) * max(len(elements) - 1, 0)
+        if size > MAX_FOLD_CHARS:
+            return None
         return separator.join(elements)
     if method == "reverse":
         # ``'...'.split('').reverse().join('')`` idiom is handled by join()
@@ -148,8 +164,14 @@ def _fold_call(node: N.CallExpression, depth: int) -> Optional[str]:
         base = _fold(callee.object, depth)
         target = _fold(node.arguments[0], depth)
         replacement = _fold(node.arguments[1], depth)
-        if base is not None and target is not None and replacement is not None:
-            return base.replace(target, replacement, 1)
+        if base is None or target is None or replacement is None:
+            return None
+        size = len(base)
+        if target in base:
+            size += len(replacement) - len(target)
+        if size > MAX_FOLD_CHARS:
+            return None
+        return base.replace(target, replacement, 1)
     return None
 
 
@@ -160,12 +182,16 @@ def _fold_array_elements(node: N.Node, depth: int) -> Optional[List[str]]:
     depth += 1
     if isinstance(node, N.ArrayExpression):
         elements: List[str] = []
+        size = 0
         for element in node.elements:
             if element is None:
                 elements.append("")
                 continue
             folded = _fold(element, depth)
             if folded is None:
+                return None
+            size += len(folded)
+            if size > MAX_FOLD_CHARS:
                 return None
             elements.append(folded)
         return elements
@@ -279,7 +305,8 @@ def _unpack_packed_packer(program: N.Program) -> Optional[Tuple[str, Optional[st
     Detects the canonical shape and runs the base-N word substitution in
     Python. Returns ``(payload, unpacked source)`` for the first packer in
     pre-order, with ``None`` for the source when its radix is not an
-    integer from 2 to 62, or ``None`` when the program holds no packer.
+    integer from 2 to 62 or it would unpack to more than
+    :data:`MAX_FOLD_CHARS`, or ``None`` when the program holds no packer.
     """
     for node in walk(program):
         if not isinstance(node, N.CallExpression):
@@ -329,18 +356,26 @@ def _encode_base(value: int, radix: int) -> str:
     return "".join(reversed(digits))
 
 
-def _packed_substitute(payload: str, radix: int, words: List[str]) -> str:
+_PACKED_TOKEN = re.compile(r"\b\w+\b")
+
+
+def _packed_substitute(payload: str, radix: int, words: List[str]) -> Optional[str]:
     mapping = {}
     for index, word in enumerate(words):
         token = _encode_base(index, radix)
         mapping[token] = word if word else token
+    size = len(payload)
+    for token in _PACKED_TOKEN.findall(payload):
+        size += len(mapping.get(token, token)) - len(token)
+    if size > MAX_FOLD_CHARS:
+        return None
 
     def replace(match: re.Match) -> str:
         """Regex callback substituting packed word tokens."""
         token = match.group(0)
         return mapping.get(token, token)
 
-    return re.sub(r"\b\w+\b", replace, payload)
+    return _PACKED_TOKEN.sub(replace, payload)
 
 
 def _may_act(call: N.CallExpression) -> bool:

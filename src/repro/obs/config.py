@@ -5,7 +5,7 @@ and ``REPRO_WORKERS``/``REPRO_MATCHER_CACHE`` in ``analysis.perf``, each
 silently falling back to its default on garbage input — a typo like
 ``REPRO_WORKERS=fuor`` quietly ran serial. Every knob — scale, workers,
 the matcher/history/feature caches, the serve daemon's
-port/batch/linger/workers surface, and the resilience layer's retry/
+port/batch/linger/shards surface, and the resilience layer's retry/
 journal/fault-injection settings — now resolves here: invalid or out-of-range
 values still fall back to the documented
 defaults (so behaviour is unchanged), but a warning is logged **once per
@@ -36,7 +36,6 @@ DEFAULT_RULE_STATS = False
 DEFAULT_SERVE_PORT = 7675
 DEFAULT_SERVE_BATCH = 64
 DEFAULT_SERVE_WAIT_MS = 2.0
-DEFAULT_SERVE_WORKERS = 0
 DEFAULT_SERVE_SHARDS = 0
 
 #: The knobs this module owns, in manifest order.
@@ -55,7 +54,6 @@ KNOBS = (
     "REPRO_SERVE_PORT",
     "REPRO_SERVE_BATCH",
     "REPRO_SERVE_WAIT_MS",
-    "REPRO_SERVE_WORKERS",
     "REPRO_SERVE_SHARDS",
     "REPRO_MAX_RETRIES",
     "REPRO_RETRY_BASE_MS",
@@ -332,24 +330,6 @@ def serve_wait_ms(environ: Optional[Mapping[str, str]] = None) -> float:
     )
 
 
-def serve_workers(environ: Optional[Mapping[str, str]] = None) -> int:
-    """Serve-daemon worker processes from ``REPRO_SERVE_WORKERS`` (≥ 0).
-
-    0 (the default) answers every batch inline in the daemon process;
-    ≥ 2 fans batches across a dedicated
-    :class:`~repro.analysis.pool.PersistentPool` of fork workers, each
-    holding its own warm matcher/detector state (1 behaves like 0 — one
-    worker buys nothing over inline).
-    """
-    environ = os.environ if environ is None else environ
-    return _resolve_int(
-        "REPRO_SERVE_WORKERS",
-        environ.get("REPRO_SERVE_WORKERS"),
-        DEFAULT_SERVE_WORKERS,
-        minimum=0,
-    )
-
-
 def serve_shards(environ: Optional[Mapping[str, str]] = None) -> int:
     """Serve-daemon shard count from ``REPRO_SERVE_SHARDS`` (≥ 0).
 
@@ -453,8 +433,6 @@ class ConfigSnapshot:
     serve_batch: int = DEFAULT_SERVE_BATCH
     #: Serve-daemon batch linger in milliseconds (``REPRO_SERVE_WAIT_MS``).
     serve_wait_ms: float = DEFAULT_SERVE_WAIT_MS
-    #: Serve-daemon worker processes (``REPRO_SERVE_WORKERS``; 0 = inline).
-    serve_workers: int = DEFAULT_SERVE_WORKERS
     #: Serve-daemon shard processes (``REPRO_SERVE_SHARDS``; 0/1 = single).
     serve_shards: int = DEFAULT_SERVE_SHARDS
     max_retries: int = DEFAULT_MAX_RETRIES
@@ -484,7 +462,6 @@ class ConfigSnapshot:
             "serve_port": self.serve_port,
             "serve_batch": self.serve_batch,
             "serve_wait_ms": self.serve_wait_ms,
-            "serve_workers": self.serve_workers,
             "serve_shards": self.serve_shards,
             "max_retries": self.max_retries,
             "retry_base_ms": self.retry_base_ms,
@@ -512,7 +489,6 @@ def config_snapshot(environ: Optional[Mapping[str, str]] = None) -> ConfigSnapsh
         serve_port=serve_port(environ),
         serve_batch=serve_batch_size(environ),
         serve_wait_ms=serve_wait_ms(environ),
-        serve_workers=serve_workers(environ),
         serve_shards=serve_shards(environ),
         max_retries=max_retries(environ),
         retry_base_ms=retry_base_ms(environ),

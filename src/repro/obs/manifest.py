@@ -245,7 +245,6 @@ def validate_manifest(manifest: Dict[str, Any]) -> List[str]:
         ("serve_port", int),
         ("serve_batch", int),
         ("serve_wait_ms", (int, float)),
-        ("serve_workers", int),
         ("serve_shards", int),
         ("max_retries", int),
         ("retry_base_ms", (int, float)),
@@ -352,8 +351,6 @@ def _validate_serve_section(serve: Any) -> List[str]:
         errors.append("serve.port: expected int")
     if not isinstance(serve.get("epoch"), int):
         errors.append("serve.epoch: expected int")
-    if not isinstance(serve.get("workers"), int):
-        errors.append("serve.workers: expected int")
     for field in _SERVE_COUNTERS:
         value = serve.get(field)
         if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
@@ -361,7 +358,9 @@ def _validate_serve_section(serve: Any) -> List[str]:
     # A sharded deployment's section also carries the shard count and
     # the supervisor's respawn counter; both optional (absent when the
     # daemon ran single-process), both non-negative ints when present.
-    for field in ("shards", "shard_restarts"):
+    # ``workers`` is checked the same way: sections written while the
+    # daemon still had a worker pool carry it.
+    for field in ("workers", "shards", "shard_restarts"):
         if field in serve:
             value = serve.get(field)
             if not (

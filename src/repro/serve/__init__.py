@@ -9,7 +9,7 @@ speed. This package is that deployment shape as a daemon:
 - :mod:`~repro.serve.protocol` — newline-delimited JSON queries
   (``url`` / ``script`` / ``page``) and control ops;
 - :mod:`~repro.serve.batcher` — request batching with a one-predict
-  prewarm pass, plus pipelined fan-out over persistent pool workers;
+  prewarm pass, every batch answered inline in the daemon process;
 - :mod:`~repro.serve.reload` — O(delta) epoch-swap hot reload that
   never drops an in-flight query;
 - :mod:`~repro.serve.snapshot` — the packed ``kind=snapshot`` RDPK

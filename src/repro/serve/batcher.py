@@ -1,6 +1,6 @@
 """Query engine and request batcher: the serve daemon's data path.
 
-Three execution paths, all answering byte-identically to the offline
+Two execution paths, both answering byte-identically to the offline
 :class:`~repro.core.online.OnlineAdblocker`:
 
 - **naive** — one query per call, exactly the offline code path (the
@@ -9,23 +9,20 @@ Three execution paths, all answering byte-identically to the offline
   script sources and scores them with ONE ``detector.predict`` call, so
   the per-call vectorise/kernel overhead is paid once per batch instead
   of once per script; ``visit``/``scan_scripts`` then run against a warm
-  verdict cache. This is where the ≥3× loadgen speedup comes from;
-- **pooled** — whole batches dispatched to
-  :class:`~repro.analysis.pool.PersistentPool` workers via ``submit``
-  (pipelined: the batcher collects batch N+1 while the pool scores
-  batch N). Workers fork with epoch 0 and fold the parent's raw-line
-  delta history forward (:meth:`~repro.serve.reload.EpochChain.fold_to`),
-  so a hot reload reaches them with the next batch.
+  verdict cache. This is where the ≥3× loadgen speedup comes from.
+
+Every batch is answered inline in the daemon process; more cores are
+used by running more daemons (:mod:`repro.serve.shard`).
 
 The :class:`RequestBatcher` is the admission queue between protocol
 handler threads and the engine: a handler enqueues a connection's
 pipelined group of queries at once and blocks on their slots, a single
 collector thread lingers up to ``REPRO_SERVE_WAIT_MS`` to fill batches
 of ``REPRO_SERVE_BATCH``, and every query's queue-to-answer latency
-lands in the ``serve.latency_ns`` histogram. A batch that raises (inline,
-or a pool batch whose result raises) is answered again one query at a
-time, so only the query at fault gets an error frame; each such query
-ticks ``serve.internal_errors`` and the collector keeps running.
+lands in the ``serve.latency_ns`` histogram. A batch that raises is
+answered again one query at a time, so only the query at fault gets an
+error frame; each such query ticks ``serve.internal_errors`` and the
+collector keeps running.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ logger = logging.getLogger("repro.serve.batcher")
 LOG_FRAMES = 8
 
 
-# -- answering (shared by parent and pool workers) -------------------------------
+# -- answering -----------------------------------------------------------------
 
 
 def answer_query(online: OnlineAdblocker, query: Dict[str, Any]) -> Dict[str, Any]:
@@ -130,78 +127,24 @@ def prewarm_verdicts(online: OnlineAdblocker, queries: Sequence[Dict[str, Any]])
     return len(pending)
 
 
-# -- pool worker side ------------------------------------------------------------
-
-
-def _make_worker_chain(published: Dict[str, Any]) -> EpochChain:
-    """Build a worker's epoch-0 chain from the fork-published serve state."""
-    return EpochChain(
-        published["detector"],
-        published["network_rules"],
-        published["element_rules"],
-    )
-
-
-def _serve_worker_task(chain: EpochChain, payload: Dict[str, Any]):
-    """Worker body: fold to the batch's epoch, prewarm, answer.
-
-    The payload carries the parent's full raw-line delta history; the
-    worker's cached chain replays only the unseen suffix, so reload cost
-    per worker is O(delta) once, amortised across later batches.
-    """
-    chain.fold_to(payload["deltas"])
-    queries = payload["queries"]
-    epoch = chain.acquire()
-    try:
-        prewarmed = prewarm_verdicts(epoch.online, queries)
-        answers = [answer_query(epoch.online, query) for query in queries]
-        epoch.online.adblocker.log.clear()
-    finally:
-        epoch.release()
-    return {"answers": answers, "prewarmed": prewarmed, "epoch": epoch.index}
-
-
-class _BatchFuture:
-    """A pool batch in flight: holds its epoch until the answers land."""
-
-    def __init__(self, inner, epoch) -> None:
-        self._inner = inner
-        self._epoch = epoch
-        self._released = False
-
-    def done(self) -> bool:
-        return self._inner.done()
-
-    def result(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        try:
-            return self._inner.result(timeout)
-        finally:
-            if not self._released:
-                self._released = True
-                self._epoch.release()
-
-
 # -- the engine ------------------------------------------------------------------
 
 
 class ServeEngine:
     """Answers query batches against the chain's current epoch.
 
-    ``pool`` (a :class:`~repro.analysis.pool.PersistentPool` with the
-    serve state published) enables the fan-out path; without it batches
-    run inline. ``batched=False`` per call disables the prewarm pass —
-    that is the benchmark's one-query-per-call baseline, not a mode the
-    daemon serves in.
+    ``batched=False`` per call disables the prewarm pass — that is the
+    benchmark's one-query-per-call baseline, not a mode the daemon
+    serves in.
     """
 
-    def __init__(self, chain: EpochChain, pool=None) -> None:
+    def __init__(self, chain: EpochChain) -> None:
         self.chain = chain
-        self.pool = pool
 
     def answer_batch(
         self, queries: Sequence[Dict[str, Any]], batched: bool = True
     ) -> List[Dict[str, Any]]:
-        """Answer a batch inline (the no-pool and fallback path)."""
+        """Answer a batch against the current epoch."""
         metrics = get_metrics()
         epoch = self.chain.acquire()
         try:
@@ -218,40 +161,6 @@ class ServeEngine:
         metrics.count("serve.queries", len(queries))
         metrics.count("serve.batches")
         return answers
-
-    def submit_batch(self, queries: Sequence[Dict[str, Any]]) -> Optional[_BatchFuture]:
-        """Dispatch a batch to a pool worker; ``None`` means run inline.
-
-        The returned future's ``result()`` yields the answer list; the
-        acquired epoch is held until then, so a concurrent reload drains
-        only after the pool has answered — zero dropped queries.
-        """
-        if self.pool is None:
-            return None
-        epoch = self.chain.acquire()
-        payload = {
-            "epoch": epoch.index,
-            "deltas": list(self.chain.deltas[: epoch.index]),
-            "queries": list(queries),
-        }
-        inner = self.pool.submit(
-            _serve_worker_task, payload, key="serve", make=_make_worker_chain
-        )
-        if inner is None:  # pragma: no cover - non-fork platforms
-            epoch.release()
-            return None
-        return _BatchFuture(inner, epoch)
-
-    def collect(self, future: _BatchFuture) -> List[Dict[str, Any]]:
-        """Resolve a pool batch and absorb its accounting."""
-        outcome = future.result()
-        metrics = get_metrics()
-        metrics.count("serve.queries", len(outcome["answers"]))
-        metrics.count("serve.batches")
-        metrics.count("serve.pool_batches")
-        if outcome["prewarmed"]:
-            metrics.count("serve.prewarmed", outcome["prewarmed"])
-        return outcome["answers"]
 
 
 # -- the batcher -----------------------------------------------------------------
@@ -344,6 +253,12 @@ class RequestBatcher:
             )
             self._thread.start()
 
+    @property
+    def alive(self) -> bool:
+        """Whether the collector thread is running."""
+        thread = self._thread
+        return thread is not None and thread.is_alive()
+
     def close(self, timeout: float = 10.0) -> None:
         """Stop the collector after flushing everything already queued."""
         with self._cv:
@@ -353,23 +268,15 @@ class RequestBatcher:
             self._thread.join(timeout)
             self._thread = None
 
-    def _collect(
-        self, pending: Optional[_BatchFuture] = None
-    ) -> List[Tuple[Dict[str, Any], _Slot]]:
+    def _collect(self) -> List[Tuple[Dict[str, Any], _Slot]]:
         """Block for the first query, then linger to fill the batch.
 
-        While a pool batch is in flight (``pending``), the empty-queue
-        wait is bounded to short ticks and returns empty the moment the
-        future completes, so the loop can deliver those answers. Without
-        the bound, the final batch of a burst would wait here for the
-        *next* query — which never arrives, because every synchronous
-        client is blocked on exactly that batch's answers.
+        Returns an empty batch only once the batcher is closed and its
+        queue is drained.
         """
         with self._cv:
             while not self._queue and not self._closed:
-                if pending is not None and pending.done():
-                    return []
-                self._cv.wait(0.002 if pending is not None else 0.1)
+                self._cv.wait(0.1)
             if not self._queue:
                 return []
             deadline = time.monotonic() + self.wait_s
@@ -427,35 +334,11 @@ class RequestBatcher:
         except Exception as exc:
             return self._answer_singly(queries, exc)
 
-    def _deliver_pooled(self, entries: List[Tuple[Dict[str, Any], _Slot]], future) -> None:
-        """Deliver a pool batch; if it raised, answer its queries singly."""
-        try:
-            answers = self.engine.collect(future)
-        except Exception as exc:
-            answers = self._answer_singly([query for query, _ in entries], exc)
-        self._deliver(entries, answers)
-
     def _loop(self) -> None:
         metrics = get_metrics()
-        #: One pool batch in flight while the next one fills (pipelining).
-        pending: Optional[Tuple[List, Any]] = None
         while True:
-            batch = self._collect(pending[1] if pending is not None else None)
+            batch = self._collect()
             if not batch:
-                if pending is not None:
-                    self._deliver_pooled(*pending)
-                    pending = None
-                    continue
-                if self._closed:
-                    return
-                continue
+                return
             metrics.hist("serve.batch_size", len(batch))
-            queries = [query for query, _ in batch]
-            future = self.engine.submit_batch(queries)
-            if pending is not None:
-                self._deliver_pooled(*pending)
-                pending = None
-            if future is None:
-                self._deliver(batch, self._answer_inline(queries))
-            else:
-                pending = (batch, future)
+            self._deliver(batch, self._answer_inline([query for query, _ in batch]))

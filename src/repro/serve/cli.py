@@ -23,13 +23,7 @@ import json
 import sys
 from typing import List, Optional
 
-from ..obs.config import (
-    serve_batch_size,
-    serve_port,
-    serve_shards,
-    serve_wait_ms,
-    serve_workers,
-)
+from ..obs.config import serve_port, serve_shards
 
 
 class _CliError(Exception):
@@ -48,7 +42,6 @@ def _serve_args(argv: List[str]) -> dict:
     opts = {
         "host": "127.0.0.1",
         "port": None,
-        "workers": None,
         "batch": None,
         "wait_ms": None,
         "ready_file": None,
@@ -66,8 +59,6 @@ def _serve_args(argv: List[str]) -> dict:
             opts["host"] = _take_value(args, "--host", arg)
         elif arg == "--port" or arg.startswith("--port="):
             opts["port"] = int(_take_value(args, "--port", arg))
-        elif arg == "--workers" or arg.startswith("--workers="):
-            opts["workers"] = int(_take_value(args, "--workers", arg))
         elif arg == "--batch" or arg.startswith("--batch="):
             opts["batch"] = int(_take_value(args, "--batch", arg))
         elif arg == "--wait-ms" or arg.startswith("--wait-ms="):
@@ -106,7 +97,7 @@ def serve_main(argv: List[str]) -> int:
         state = _snapshot_state(opts["snapshot"])
     else:
         state = resolve_serve_state()
-    engine = build_engine(state, workers=opts["workers"])
+    engine = build_engine(state)
     daemon = ServeDaemon(
         engine,
         host=opts["host"],
@@ -164,7 +155,6 @@ def _serve_sharded(opts: dict, shards: int) -> int:
         port=opts["port"] if opts["port"] is not None else serve_port(),
         batch_size=opts["batch"],
         wait_ms=opts["wait_ms"],
-        workers=opts["workers"] if opts["workers"] is not None else serve_workers(),
     )
     try:
         host, port = supervisor.start()

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.pipeline import AntiAdblockDetector, DetectorConfig
 from ..graph.core import NodeSpec
-from ..obs.config import serve_batch_size, serve_wait_ms, serve_workers
+from ..obs.config import serve_batch_size, serve_wait_ms
 from ..obs.metrics import get_metrics
 from ..obs.trace import span as trace_span
 from .batcher import RequestBatcher, ServeEngine
@@ -158,35 +158,9 @@ def resolve_serve_state(ctx=None) -> ServeState:
     )
 
 
-def build_engine(
-    state: ServeState, workers: Optional[int] = None
-) -> ServeEngine:
-    """An engine over epoch 0, with a worker pool when ``workers >= 2``.
-
-    The pool is private to the daemon (never the process-wide one): the
-    serve state is published under ``"serve"`` before the single fork,
-    and batch payloads afterwards carry only queries and delta lines.
-    """
-    chain = state.build_chain()
-    if workers is None:
-        workers = serve_workers()
-    pool = None
-    if workers and workers >= 2:
-        from ..analysis.pool import PersistentPool
-
-        network, element, _ = partition_rule_lines(
-            state.network_lines + state.element_lines
-        )
-        pool = PersistentPool(workers)
-        pool.publish(
-            "serve",
-            {
-                "detector": state.detector,
-                "network_rules": network,
-                "element_rules": element,
-            },
-        )
-    return ServeEngine(chain, pool=pool)
+def build_engine(state: ServeState) -> ServeEngine:
+    """An engine over epoch 0 of ``state``."""
+    return ServeEngine(state.build_chain())
 
 
 #: The counter quartet every health/manifest surface reports, in the
@@ -357,6 +331,8 @@ class ServeDaemon:
         self._server: Optional[_Server] = None
         self._extra_servers: List[_Server] = []
         self._threads: List[threading.Thread] = []
+        #: Set when ``stop`` begins; ``_stopped`` once it has finished.
+        self._stopping = False
         self._stopped = threading.Event()
         self.ready = threading.Event()
 
@@ -400,6 +376,7 @@ class ServeDaemon:
 
     def stop(self) -> None:
         """Shut down: stop admitting, flush the batcher, close the sockets."""
+        self._stopping = True
         for server in [self._server, *self._extra_servers]:
             if server is not None:
                 server.shutdown()
@@ -407,8 +384,6 @@ class ServeDaemon:
         self._server = None
         self._extra_servers = []
         self.batcher.close()
-        if self.engine.pool is not None:
-            self.engine.pool.close()
         self._stopped.set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -464,8 +439,8 @@ class ServeDaemon:
                 summary["epoch"], summary["added"], summary["removed"], summary["skipped"],
             )
         else:
-            # The swap happened, but the old epoch is still held (e.g. an
-            # uncollected pool future) — visible to callers and CI gates.
+            # The swap happened, but a batch still running holds the old
+            # epoch — visible to callers and CI gates.
             metrics.count("serve.drain_timeouts")
             logger.warning(
                 "reloaded to epoch %d but the old epoch did not drain in time",
@@ -475,18 +450,20 @@ class ServeDaemon:
 
     def health(self) -> Dict[str, Any]:
         """Readiness plus the counters a smoke test gates on."""
-        if self._stopped.is_set():
+        if self._stopping:
             # Distinct from "starting": supervisors and smoke tests can
             # tell a daemon that never came up from one tearing down.
             status = "stopping"
-        elif self.ready.is_set():
+        elif not self.ready.is_set():
+            status = "starting"
+        elif self.batcher.alive:
             status = "ok"
         else:
-            status = "starting"
+            # The collector died: every query would wait out its timeout.
+            status = "degraded"
         health = {
             "status": status,
             "epoch": self.engine.chain.current.index,
-            "workers": self.engine.pool.workers if self.engine.pool else 0,
             "rules": self.engine.chain.current.online.adblocker.rule_count,
             **_counter_snapshot(),
         }
@@ -529,6 +506,5 @@ class ServeDaemon:
         return {
             "port": self.port,
             "epoch": self.engine.chain.current.index,
-            "workers": self.engine.pool.workers if self.engine.pool else 0,
             **_counter_snapshot(),
         }

@@ -26,7 +26,7 @@ swap are answered by whichever epoch they acquired.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.online import OnlineAdblocker
 from ..filterlist.matcher import NetworkMatcher
@@ -102,13 +102,11 @@ class ServeEpoch:
 
 
 class EpochChain:
-    """The current epoch plus the delta history that produced it.
+    """The current serving epoch and the reloads that swap it.
 
     The chain owns the detector and the shared verdict cache: both
     survive every swap (a reload changes *rules*, not the model), so a
-    vendor script scanned in epoch N is still cached in epoch N+5. The
-    raw-line ``deltas`` history is what pool workers fold forward to
-    reach the parent's epoch (:mod:`repro.serve.batcher`).
+    vendor script scanned in epoch N is still cached in epoch N+5.
     """
 
     def __init__(
@@ -127,8 +125,6 @@ class EpochChain:
             0, self._make_online(list(network_rules), list(element_rules), matcher)
         )
         self._reload_lock = threading.Lock()
-        #: Raw-line delta per reload: epoch N is deltas[:N] applied to epoch 0.
-        self.deltas: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
         #: Epochs fully drained and retired.
         self.retired = 0
 
@@ -164,9 +160,9 @@ class EpochChain:
         the call returns only after the old epoch drained (the CI smoke
         gate); the swap itself is immediate either way. The summary's
         ``drained`` field reports whether the old epoch actually reached
-        in-flight zero — ``False`` on a drain timeout (e.g. an epoch
-        still held by an uncollected pool future), in which case it is
-        not counted as retired.
+        in-flight zero — ``False`` on a drain timeout (a batch still
+        running on the old epoch), in which case it is not counted as
+        retired.
         """
         added_net, added_elem, skipped_a = partition_rule_lines(added_lines)
         removed_net, removed_elem, skipped_r = partition_rule_lines(removed_lines)
@@ -189,7 +185,6 @@ class EpochChain:
             new = ServeEpoch(
                 old.index + 1, self._make_online(network, element, matcher)
             )
-            self.deltas.append((tuple(added_lines), tuple(removed_lines)))
             self._current = new
             old.begin_drain()
         drained = old.drained.wait(timeout) if wait else old.drained.is_set()
@@ -202,17 +197,3 @@ class EpochChain:
             "skipped": skipped_a + skipped_r,
             "drained": drained,
         }
-
-    def fold_to(self, deltas: Sequence[Tuple[Sequence[str], Sequence[str]]]) -> int:
-        """Apply any deltas beyond this chain's history (worker-side sync).
-
-        Pool workers fork with epoch 0 and receive the parent's full
-        delta history with each batch; this replays only the suffix they
-        have not seen. Idempotent, and O(new deltas) per call.
-        """
-        applied = 0
-        while len(self.deltas) < len(deltas):
-            added, removed = deltas[len(self.deltas)]
-            self.reload(added, removed, wait=True)
-            applied += 1
-        return applied

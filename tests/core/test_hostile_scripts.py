@@ -102,6 +102,29 @@ class TestFolding:
         )
         assert summary == (1, 0, ["a" * 3000])
 
+    def test_join_past_the_bound_does_not_fold(self):
+        # A 40 KB script whose join would build 400 million characters.
+        source = f"eval('{'a' * 20000}'.split('').join('{'b' * 20000}'));"
+        events, summary = extract_bounded(source)
+        assert not events.parse_error and not events.unpack_bailout
+        assert summary == (0, 0, [])
+
+    def test_long_plus_chain_of_joins_past_the_bound_does_not_fold(self):
+        # Each join folds to 4 million characters, under the bound; the
+        # chain of 150 would build 600 million.
+        join = f"'{'a' * 2000}'.split('').join('{'b' * 2000}')"
+        events, summary = extract_bounded("eval(" + "+".join([join] * 150) + ");")
+        assert not events.parse_error and not events.unpack_bailout
+        assert summary == (0, 0, [])
+
+    def test_packer_past_the_bound_is_a_failed_payload(self):
+        # 20,000 copies of token 0, each standing for a 20,000-character word.
+        events, summary = extract_bounded(
+            dean_edwards(" ".join(["0"] * 20000), 10, ["a" * 20000])
+        )
+        assert not events.parse_error and events.unpack_bailout
+        assert summary == (0, 1, [])
+
 
 class TestNumbers:
     def test_non_decimal_digit_is_a_tokenize_error(self):

@@ -153,7 +153,6 @@ class TestSnapshot:
             "serve_port",
             "serve_batch",
             "serve_wait_ms",
-            "serve_workers",
             "serve_shards",
             "raw_env",
         }
@@ -200,17 +199,17 @@ class TestServeKnobs:
         assert obs_config.serve_port() == obs_config.DEFAULT_SERVE_PORT
         assert obs_config.serve_batch_size() == obs_config.DEFAULT_SERVE_BATCH
         assert obs_config.serve_wait_ms() == obs_config.DEFAULT_SERVE_WAIT_MS
-        assert obs_config.serve_workers() == obs_config.DEFAULT_SERVE_WORKERS
+        assert obs_config.serve_shards() == obs_config.DEFAULT_SERVE_SHARDS
 
     def test_valid_values(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_PORT", "0")  # 0 = ephemeral
         monkeypatch.setenv("REPRO_SERVE_BATCH", "128")
         monkeypatch.setenv("REPRO_SERVE_WAIT_MS", "5.5")
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "4")
+        monkeypatch.setenv("REPRO_SERVE_SHARDS", "4")
         assert obs_config.serve_port() == 0
         assert obs_config.serve_batch_size() == 128
         assert obs_config.serve_wait_ms() == 5.5
-        assert obs_config.serve_workers() == 4
+        assert obs_config.serve_shards() == 4
 
     def test_port_out_of_range_warns_and_defaults(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_SERVE_PORT", "70000")
@@ -241,24 +240,18 @@ class TestServeKnobs:
         monkeypatch.setenv("REPRO_SERVE_WAIT_MS", "0")
         assert obs_config.serve_wait_ms() == 0.0
 
-    def test_workers_clamps_to_zero(self, monkeypatch, caplog):
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "-2")
-        with caplog.at_level(logging.WARNING, logger="repro.obs.config"):
-            assert obs_config.serve_workers() == 0
-        assert "REPRO_SERVE_WORKERS" in caplog.text
-
     def test_recorded_in_snapshot(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_BATCH", "32")
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "2")
+        monkeypatch.setenv("REPRO_SERVE_SHARDS", "2")
         snapshot = config_snapshot()
         assert snapshot.serve_batch == 32
-        assert snapshot.serve_workers == 2
+        assert snapshot.serve_shards == 2
         data = snapshot.as_dict()
         assert data["serve_batch"] == 32
         assert data["serve_port"] == obs_config.DEFAULT_SERVE_PORT
         assert snapshot.raw_env == {
             "REPRO_SERVE_BATCH": "32",
-            "REPRO_SERVE_WORKERS": "2",
+            "REPRO_SERVE_SHARDS": "2",
         }
 
 

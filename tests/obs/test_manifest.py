@@ -186,12 +186,14 @@ class TestSchemaVersions:
         data["serve"] = {
             "port": 7675,
             "epoch": 2,
-            "workers": 0,
             "queries": 640,
             "batches": 11,
             "reloads": 2,
             "dropped": 0,
         }
+        assert validate_manifest(data) == []
+        # Sections written while the daemon had a worker pool carry its size.
+        data["serve"]["workers"] = 0
         assert validate_manifest(data) == []
 
     def test_serve_section_rejects_bad_entries(self, manifest):
@@ -215,6 +217,16 @@ class TestSchemaVersions:
             "dropped": True,
         }
         assert any("dropped" in error for error in validate_manifest(data))
+        data["serve"] = {
+            "port": 7675,
+            "epoch": 0,
+            "workers": -1,
+            "queries": 0,
+            "batches": 0,
+            "reloads": 0,
+            "dropped": 0,
+        }
+        assert any("workers" in error for error in validate_manifest(data))
 
     def test_manifest_without_serve_section_still_validates(self, manifest):
         data = _finalize(manifest)

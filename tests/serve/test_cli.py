@@ -10,12 +10,12 @@ class TestServeArgs:
         opts = _serve_args([])
         assert opts["host"] == "127.0.0.1"
         assert opts["port"] is None  # falls back to REPRO_SERVE_PORT
-        assert opts["workers"] is None
+        assert opts["shards"] is None  # falls back to REPRO_SERVE_SHARDS
 
     def test_both_flag_forms(self):
-        opts = _serve_args(["--port", "8000", "--workers=4", "--wait-ms=0.5"])
+        opts = _serve_args(["--port", "8000", "--shards=4", "--wait-ms=0.5"])
         assert opts["port"] == 8000
-        assert opts["workers"] == 4
+        assert opts["shards"] == 4
         assert opts["wait_ms"] == 0.5
 
     def test_ready_and_metrics_files(self):
@@ -30,6 +30,10 @@ class TestServeArgs:
     def test_missing_value_raises(self):
         with pytest.raises(_CliError):
             _serve_args(["--port"])
+
+    def test_workers_is_an_unknown_option(self):
+        with pytest.raises(_CliError):
+            _serve_args(["--workers=2"])
 
 
 class TestLoadgenArgs:
@@ -53,6 +57,10 @@ class TestMainDispatch:
     def test_bad_option_exits_2(self, capsys):
         assert main(["--turbo"]) == 2
         assert "turbo" in capsys.readouterr().err
+
+    def test_workers_exits_2(self, capsys):
+        assert main(["--workers=2"]) == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

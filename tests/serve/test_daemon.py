@@ -16,7 +16,7 @@ from repro.serve.loadgen import generate_queries
 
 @pytest.fixture
 def daemon(serve_state):
-    instance = ServeDaemon(build_engine(serve_state, workers=0), port=0)
+    instance = ServeDaemon(build_engine(serve_state), port=0)
     host, port = instance.start()
     yield instance
     instance.stop()
@@ -130,39 +130,6 @@ class TestControlOps:
         assert data["serve"]["queries"] >= 1
 
 
-class TestPooledDaemon:
-    def test_pooled_burst_answers_promptly(self, serve_state):
-        """End-to-end pooled path (REPRO_SERVE_WORKERS>=2 equivalent).
-
-        A burst whose final batch is pending in a pool worker must be
-        answered as soon as the worker finishes — pre-fix the collector
-        only delivered it on the next batch, so the lone synchronous
-        client stalled into the daemon's 60s dispatch timeout.
-        """
-        import time
-
-        engine = build_engine(serve_state, workers=2)
-        if engine.pool is None:
-            pytest.skip("fork start method unavailable")
-        daemon = ServeDaemon(engine, port=0)
-        daemon.start()
-        try:
-            queries = generate_queries(41, 24)
-            with protocol.ServeClient(daemon.host, daemon.port, timeout=30.0) as c:
-                t0 = time.monotonic()
-                response = c.ask(protocol.batch_query(queries))
-                single = c.ask(protocol.url_query("https://example.com/app.js"))
-                elapsed = time.monotonic() - t0
-        finally:
-            daemon.stop()
-        assert response["ok"] is True
-        assert len(response["answers"]) == 24
-        assert all(a["ok"] for a in response["answers"])
-        assert single["ok"] is True
-        assert get_metrics().counter("serve.pool_batches") >= 1
-        assert elapsed < 20.0
-
-
 class TestReloadUnderLoad:
     def test_no_query_dropped_across_swaps(self, daemon):
         """Queries hammer the daemon while reloads swap epochs under them."""
@@ -224,11 +191,28 @@ class TestSatelliteFixes:
             sock.close()
 
     def test_health_reports_stopping_after_stop(self, serve_state):
-        instance = ServeDaemon(build_engine(serve_state, workers=0), port=0)
+        instance = ServeDaemon(build_engine(serve_state), port=0)
         instance.start()
         assert instance.health()["status"] == "ok"
         instance.stop()
         assert instance.health()["status"] == "stopping"
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_health_reports_degraded_when_the_collector_dies(self, daemon, monkeypatch):
+        """A dead collector leaves every query to wait out its timeout."""
+
+        def broken_deliver(entries, answers):
+            raise RuntimeError("collector killed after answering")
+
+        monkeypatch.setattr(daemon.batcher, "_deliver", broken_deliver)
+        collector = daemon.batcher._thread
+        answer = daemon.batcher.ask(
+            protocol.url_query("https://example.com/app.js"), timeout=0.5
+        )
+        assert answer["ok"] is False  # never delivered
+        collector.join(5.0)
+        assert daemon.health()["status"] == "degraded"
+        assert not daemon.batcher.alive
 
     def test_health_and_serve_section_share_the_counter_quartet(self, daemon):
         from repro.serve.daemon import SERVE_COUNTERS

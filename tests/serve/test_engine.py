@@ -3,13 +3,10 @@ offline :class:`~repro.core.online.OnlineAdblocker`."""
 
 import json
 
-import pytest
-
 from repro.core.online import OnlineAdblocker, source_digest
 from repro.filterlist.parser import parse_filter_list
 from repro.obs.metrics import get_metrics
 from repro.serve.batcher import ServeEngine, answer_query, prewarm_verdicts
-from repro.serve.daemon import build_engine
 from repro.serve.loadgen import generate_queries
 
 QUERY_COUNT = 48
@@ -46,19 +43,6 @@ class TestParity:
         queries = generate_queries(12, QUERY_COUNT)
         engine = ServeEngine(serve_state.build_chain())
         answers = engine.answer_batch(queries, batched=True)
-        assert canonical(answers) == canonical(expected_answers(serve_state, queries))
-
-    def test_pool_path_matches_offline(self, serve_state):
-        queries = generate_queries(13, 32)
-        engine = build_engine(serve_state, workers=2)
-        if engine.pool is None:
-            pytest.skip("fork start method unavailable")
-        try:
-            future = engine.submit_batch(queries)
-            assert future is not None
-            answers = engine.collect(future)
-        finally:
-            engine.pool.close()
         assert canonical(answers) == canonical(expected_answers(serve_state, queries))
 
     def test_answers_after_reload_match_fresh_offline(self, serve_state):

@@ -68,7 +68,7 @@ class TestEpochSwap:
     def test_epoch_zero_has_empty_history(self, stub_detector):
         chain = make_chain(stub_detector)
         assert chain.current.index == 0
-        assert chain.deltas == []
+        assert chain.retired == 0
 
 
 class TestDraining:
@@ -124,20 +124,3 @@ class TestDraining:
         epoch = chain.acquire()
         assert epoch.index == 3
         epoch.release()
-
-
-class TestFoldTo:
-    def test_worker_chain_replays_only_the_suffix(self, stub_detector):
-        parent = make_chain(stub_detector)
-        parent.reload(["||one.example^"], [])
-        parent.reload(["||two.example^"], [])
-
-        worker = make_chain(stub_detector)
-        assert worker.fold_to(parent.deltas) == 2
-        assert worker.current.index == 2
-        assert worker.fold_to(parent.deltas) == 0  # idempotent
-
-        parent.reload(["||three.example^"], [])
-        assert worker.fold_to(parent.deltas) == 1
-        blocker = worker.current.online.adblocker
-        assert blocker.should_block("https://three.example/x.js")

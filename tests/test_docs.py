@@ -131,12 +131,11 @@ class TestKnobSync:
 
     def test_the_extractor_tells_families_from_knob_names(self):
         config = self._config_knobs()
-        assert _knob_refs("five `REPRO_SERVE_*` knobs") == (set(), {"REPRO_SERVE_"})
+        assert _knob_refs("four `REPRO_SERVE_*` knobs") == (set(), {"REPRO_SERVE_"})
         assert _family_members("REPRO_SERVE_", config) == {
             "REPRO_SERVE_PORT",
             "REPRO_SERVE_BATCH",
             "REPRO_SERVE_WAIT_MS",
-            "REPRO_SERVE_WORKERS",
             "REPRO_SERVE_SHARDS",
         }
         assert _knob_refs("`REPRO_BOGUS_*`") == (set(), {"REPRO_BOGUS_"})
