@@ -1,14 +1,14 @@
-"""Benchmarks for the binary data plane and the persistent worker pool.
+"""Benchmarks for the binary data plane and the parallel live crawl.
 
-Quantifies the three tentpole wins of ``REPRO_DATA_PLANE`` /
-``REPRO_POOL_PERSIST`` against their legacy baselines, asserting
-byte-identical results in the same breath:
+Quantifies the wins of ``REPRO_DATA_PLANE`` and ``REPRO_WORKERS``
+against their baselines, asserting byte-identical results in the same
+breath:
 
 - **warm feature-store load**: packed mmap event segments vs the
   JSON-per-script cache;
 - **request scan**: the columnar request table vs parsing HAR JSON;
-- **§4.3 parallel live crawl**: one persistent fork pool across waves vs
-  a fresh pool per wave.
+- **§4.3 parallel live crawl**: two workers in one fan-out vs the
+  serial crawl.
 
 The crawl benchmarks run at 0.2 scale regardless of ``REPRO_SCALE``,
 which also gives the repository round-trip assertion its large-crawl
@@ -18,6 +18,7 @@ variant (the default-scale variant lives in
 through ``benchmark`` so the JSON artifact CI uploads carries it.
 """
 
+import os
 import pickle
 import time
 
@@ -26,7 +27,6 @@ import pytest
 
 from repro.analysis.coverage import CoverageAnalyzer
 from repro.analysis.livecrawl import LiveCrawler
-from repro.analysis.pool import PersistentPool, set_persistent_pool
 from repro.core.featstore import FeatureStore
 from repro.dataplane.requests import RequestTable
 from repro.experiments.context import ExperimentContext
@@ -150,29 +150,33 @@ def test_bench_repository_roundtrip_large(big_ctx, saved_repo):
     assert from_table == baseline
 
 
-def test_bench_sec43_persistent_vs_fork_per_wave(benchmark, big_ctx):
-    """§4.3 with 2 workers: persistent pool beats fork-per-wave, same bytes."""
-    crawler = LiveCrawler(big_ctx.world, big_ctx.histories)
-    previous = set_persistent_pool(None)
-    try:
-        fork_s, fork_result = best_of(1, lambda: crawler.crawl(workers=2))
+def _cold_crawler() -> LiveCrawler:
+    """A crawler over a fresh world: the first crawl of a world builds its
+    live pages, so a crawl over a world an earlier crawl warmed would time
+    less work than ``repro sec43`` does."""
+    ctx = ExperimentContext.create(scale=SCALE)
+    return LiveCrawler(ctx.world, ctx.histories)
 
-        pool = PersistentPool(2)
-        pool.publish("world", big_ctx.world)
-        pool.publish("histories", big_ctx.histories)
-        set_persistent_pool(pool)
-        persist_s, persist_result = best_of(1, lambda: crawler.crawl(workers=2))
-        assert pool.runs > 0  # the persistent route really ran
-        assert pickle.dumps(persist_result) == pickle.dumps(fork_result)
 
-        benchmark.extra_info["fork_per_wave_s"] = fork_s
-        benchmark.extra_info["persistent_s"] = persist_s
-        benchmark.extra_info["speedup"] = fork_s / persist_s
-        print(
-            f"\n[sec43 2 workers] fork-per-wave {fork_s:.2f}s "
-            f"persistent {persist_s:.2f}s ({fork_s / persist_s:.2f}x)"
-        )
-        benchmark.pedantic(lambda: crawler.crawl(workers=2), rounds=1, iterations=1)
-    finally:
-        set_persistent_pool(previous)
-    assert persist_s < fork_s
+def test_bench_sec43_parallel_vs_serial(benchmark):
+    """§4.3 with 2 workers: the serial crawl's bytes, and faster than it
+    wherever two cores are there to run on."""
+    serial_crawler, parallel_crawler = _cold_crawler(), _cold_crawler()
+    serial_s, serial_result = best_of(1, lambda: serial_crawler.crawl(workers=1))
+    parallel_s, parallel_result = best_of(1, lambda: parallel_crawler.crawl(workers=2))
+    assert pickle.dumps(parallel_result) == pickle.dumps(serial_result)
+
+    benchmark.extra_info["serial_s"] = serial_s
+    benchmark.extra_info["parallel_s"] = parallel_s
+    benchmark.extra_info["speedup"] = serial_s / parallel_s
+    print(
+        f"\n[sec43 2 workers, cold worlds] serial {serial_s:.2f}s "
+        f"parallel {parallel_s:.2f}s ({serial_s / parallel_s:.2f}x)"
+    )
+    benchmark.pedantic(
+        lambda crawler: crawler.crawl(workers=2),
+        setup=lambda: ((_cold_crawler(),), {}),
+        rounds=1,
+    )
+    if (os.cpu_count() or 1) >= 2:
+        assert parallel_s < serial_s

@@ -42,7 +42,7 @@ from ..wayback.crawler import CrawlRecord, CrawlResult
 from ..web.adblocker import Adblocker
 from ..web.dom import parse_html
 from .perf import LRUCache, PerfCounters, matcher_cache_size, repro_workers
-from .pool import fork_context, get_persistent_pool, map_shards, split_shards
+from .pool import fork_context, map_shards, split_shards
 from .profile import RequestProfile, UrlProfile, profile_record
 from .rulestats import get_rule_stats
 
@@ -126,25 +126,6 @@ def _absorb_shard_rule_stats(payload: dict) -> None:
 def _analyze_shard(analyzer, records: List[CrawlRecord], html_rules: bool):
     return _shard_telemetry(
         analyzer, lambda: analyzer._analyze_records(records, html_rules)
-    )
-
-
-def _make_replay_state(published):
-    """Persistent-pool worker state: one analyzer + the published records.
-
-    Built once per worker and kept warm, so matcher/adblocker caches and
-    the element screen survive across fan-outs — the state reuse the
-    fork-per-run pool cannot have.
-    """
-    return (CoverageAnalyzer(published["histories"]), published["crawl"].records)
-
-
-def _analyze_range_shard(state, bounds, html_rules: bool):
-    """Persistent-pool task: replay one (lo, hi) range of the records."""
-    analyzer, records = state
-    lo, hi = bounds
-    return _shard_telemetry(
-        analyzer, lambda: analyzer._analyze_records(records[lo:hi], html_rules)
     )
 
 
@@ -509,57 +490,6 @@ class CoverageAnalyzer:
             extra=extra,
         )
 
-    @staticmethod
-    def _shard_ranges(
-        crawl: CrawlResult, shards: List[List[CrawlRecord]]
-    ) -> Optional[List[Tuple[int, int]]]:
-        """Map contiguous record shards back to (lo, hi) index ranges.
-
-        Only valid when the flattened shards *are* ``crawl.records`` in
-        order (true for crawler-built results, where each domain's
-        records are contiguous); verified by identity spot checks so a
-        reordered result falls back instead of replaying wrong slices.
-        """
-        ranges: List[Tuple[int, int]] = []
-        records = crawl.records
-        lo = 0
-        for shard in shards:
-            hi = lo + len(shard)
-            if (
-                hi > len(records)
-                or records[lo] is not shard[0]
-                or records[hi - 1] is not shard[-1]
-            ):
-                return None
-            ranges.append((lo, hi))
-            lo = hi
-        return ranges if lo == len(records) else None
-
-    def _analyze_persistent(
-        self, crawl: CrawlResult, shards: List[list], html_rules: bool
-    ):
-        """Fan the replay out over the persistent pool, if it fits.
-
-        The pool must have *this* crawl and *these* histories published
-        (identity-checked): workers then inherit every record through
-        the one fork and tasks carry only (lo, hi) index ranges — no
-        record is ever pickled. Returns ``None`` (fork-per-run
-        fallback) on any mismatch.
-        """
-        pool = get_persistent_pool()
-        if (
-            pool is None
-            or not pool.matches("histories", self.histories)
-            or not pool.matches("crawl", crawl)
-        ):
-            return None
-        ranges = self._shard_ranges(crawl, shards)
-        if ranges is None:
-            return None
-        return pool.run(
-            _analyze_range_shard, ranges, make=_make_replay_state, extra=(html_rules,)
-        )
-
     def _analyze_parallel(
         self, crawl: CrawlResult, html_rules: bool, workers: int, span=None
     ) -> CoverageResult:
@@ -578,9 +508,7 @@ class CoverageAnalyzer:
             return self._analyze_records(crawl.records, html_rules)
         if span is not None:
             span.set(shards=len(shards))
-        partials = self._analyze_persistent(crawl, shards, html_rules)
-        if partials is None:
-            partials = self._map_shards(shards, _analyze_shard, extra=(html_rules,))
+        partials = self._map_shards(shards, _analyze_shard, extra=(html_rules,))
         # Intern month objects so the merged result's object graph (and
         # therefore its pickled bytes) matches the serial run, where equal
         # dates are one shared object from the crawl's month range.

@@ -31,7 +31,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from ..filterlist.parser import count_history, get_history_counters
 from ..obs.trace import span as trace_span
 from .perf import repro_workers
-from .pool import get_persistent_pool, map_shards, split_shards
+from .pool import map_shards, split_shards
 
 #: One independent history fold: (display label, module-level fn, argument).
 FoldJob = Tuple[str, Callable[[Any], Any], Any]
@@ -65,55 +65,6 @@ def _fold_shard(_state, shard: List[FoldJob]):
     return results, payloads, counters.since(before).as_dict()
 
 
-def _fold_ref_shard(published, shard):
-    """Persistent-pool task: jobs whose args are published-state *references*.
-
-    Each job arrives as ``(label, fn, (key, subkey))`` and is resolved
-    against the pool's published dict, so the histories themselves are
-    never pickled across the process boundary.
-    """
-    jobs = []
-    for label, fn, (key, sub) in shard:
-        value = published[key]
-        jobs.append((label, fn, value if sub is None else value[sub]))
-    return _fold_shard(None, jobs)
-
-
-def _published_ref(state: dict, arg: Any):
-    """Locate ``arg`` in a published-state dict (one level of dict deep)."""
-    for key, value in state.items():
-        if value is arg:
-            return (key, None)
-        if isinstance(value, dict):
-            for sub, item in value.items():
-                if item is arg:
-                    return (key, sub)
-    return None
-
-
-def _persistent_folds(shards: List[List[FoldJob]]):
-    """Run fold shards on the persistent pool when every arg is published.
-
-    Returns ``None`` (caller falls back to a fork-per-run pool) when no
-    persistent pool exists or some job's argument is not reachable from
-    the pool's published state — shipping it by value would defeat the
-    zero-copy contract.
-    """
-    pool = get_persistent_pool()
-    if pool is None:
-        return None
-    ref_shards = []
-    for shard in shards:
-        ref_shard = []
-        for label, fn, arg in shard:
-            ref = _published_ref(pool.state, arg)
-            if ref is None:
-                return None
-            ref_shard.append((label, fn, ref))
-        ref_shards.append(ref_shard)
-    return pool.run(_fold_ref_shard, ref_shards)
-
-
 def run_folds(jobs: Sequence[FoldJob], workers: Optional[int] = None) -> List[Any]:
     """Run independent history folds, sharded under ``REPRO_WORKERS``.
 
@@ -137,9 +88,7 @@ def run_folds(jobs: Sequence[FoldJob], workers: Optional[int] = None) -> List[An
         return results
     shards = split_shards([[job] for job in jobs], workers)
     with trace_span("history:folds", jobs=len(jobs), shards=len(shards)) as umbrella:
-        partials = _persistent_folds(shards)
-        if partials is None:
-            partials = map_shards(shards, _fold_shard)
+        partials = map_shards(shards, _fold_shard)
         results = []
         for shard_results, shard_payloads, counter_delta in partials:
             results.extend(shard_results)

@@ -20,7 +20,7 @@ from ..obs.trace import emit_event
 from ..obs.trace import span as trace_span
 from ..resilience import ResiliencePolicy, default_resilience
 from ..resilience.canonical import Interner
-from .pool import get_persistent_pool, map_shards, split_shards
+from .pool import map_shards, split_shards
 from .rulestats import get_rule_stats
 from ..filterlist.matcher import NetworkMatcher
 from ..filterlist.parser import FilterList
@@ -59,15 +59,10 @@ class LiveCrawlResult:
 # -- worker-pool plumbing (module level for pickling) ----------------------------
 
 
-def _make_wave_crawler(state) -> "LiveCrawler":
-    """Fork-per-run worker state: one crawler per worker per wave."""
+def _make_worker_crawler(state) -> "LiveCrawler":
+    """Worker state: one crawler per worker process."""
     world, histories = state
     return LiveCrawler(world, histories)
-
-
-def _make_persistent_crawler(published) -> "LiveCrawler":
-    """Persistent-pool worker state: one crawler per worker, ever."""
-    return LiveCrawler(published["world"], published["histories"])
 
 
 def _live_range_task(crawler: "LiveCrawler", bounds, check_html: bool):
@@ -76,13 +71,23 @@ def _live_range_task(crawler: "LiveCrawler", bounds, check_html: bool):
     Returns ``(payloads, rule_stats_delta)``: per-rank match payloads in
     rank order, plus this range's rule-stats delta (``None`` while the
     plane is off) for the parent to merge — workers record into their
-    own process-global collector, which dies with them.
+    own process-global collector, which dies with them. Logs an INFO
+    heartbeat every ``PROGRESS_EVERY`` sites of the range.
     """
     collector = get_rule_stats()
     rule_snapshot = collector.snapshot() if collector is not None else None
     lo, hi = bounds
     ranked = crawler._ranked()
-    payloads = [crawler._visit_site(ranked[i], check_html) for i in range(lo, hi)]
+    payloads = []
+    for index in range(lo, hi):
+        payloads.append(crawler._visit_site(ranked[index], check_html))
+        if len(payloads) % LiveCrawler.PROGRESS_EVERY == 0:
+            logger.info(
+                "live crawl progress: %d of ranks %d-%d visited",
+                len(payloads),
+                lo + 1,
+                hi,
+            )
     rule_delta = (
         collector.delta_since(rule_snapshot) if collector is not None else None
     )
@@ -167,16 +172,11 @@ class LiveCrawler:
     #: Emit an INFO heartbeat every this many sites.
     PROGRESS_EVERY = 2000
 
-    #: Ranks visited per parallel wave (bounds in-flight payload memory
-    #: and sets the progress/fan-out granularity).
-    WAVE_SIZE = 512
-
     def crawl(
         self,
         check_html: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
         workers: Optional[int] = None,
-        wave_size: Optional[int] = None,
     ) -> LiveCrawlResult:
         """Visit every live domain and match against the latest list versions.
 
@@ -184,11 +184,11 @@ class LiveCrawler:
         summary checkpoints to the ``live`` journal and an interrupted
         crawl resumes from it, reproducing the uninterrupted result.
 
-        ``workers`` (default: ``REPRO_WORKERS``) > 1 visits ranks in
-        parallel waves — through the process-wide persistent pool when
-        one is live with this crawl's world published, else one fork
-        pool per wave. Parallel accumulation replays payloads in rank
-        order, so the result is byte-identical to the serial crawl's.
+        ``workers`` (default: ``REPRO_WORKERS``) > 1 splits the ranks
+        into that many contiguous ranges, visited by one fork pool with
+        one crawler per worker. Parallel accumulation replays payloads
+        in rank order, so the result is byte-identical to the serial
+        crawl's.
         Journaled crawls stay serial (the journal is an ordered
         per-rank checkpoint stream).
         """
@@ -198,7 +198,7 @@ class LiveCrawler:
         workers = repro_workers() if workers is None else max(int(workers), 1)
         with trace_span("live_crawl", lists=len(self.histories)) as span:
             if workers > 1 and journal is None:
-                result = self._crawl_parallel(check_html, span, workers, wave_size)
+                result = self._crawl_parallel(check_html, span, workers)
             else:
                 result = self._crawl(check_html, span, state=state, journal=journal)
         if journal is not None:
@@ -232,7 +232,7 @@ class LiveCrawler:
     @staticmethod
     def _finalize(result: LiveCrawlResult, span) -> LiveCrawlResult:
         # Intern the accumulated strings so every construction path
-        # (serial, journal-resumed, parallel waves) pickles
+        # (serial, journal-resumed, parallel) pickles
         # byte-identically.
         interner = Interner()
         for name, domains in result.detected_domains.items():
@@ -273,66 +273,31 @@ class LiveCrawler:
         return self._finalize(result, span)
 
     def _crawl_parallel(
-        self, check_html: bool, span, workers: int, wave_size: Optional[int]
+        self, check_html: bool, span, workers: int
     ) -> LiveCrawlResult:
-        """Visit ranks in parallel waves, accumulating in rank order.
-
-        Each wave fans one contiguous rank range out across ``workers``.
-        With a live persistent pool whose published world/histories are
-        this crawler's (identity), waves reuse its warm workers — the
-        per-worker :class:`LiveCrawler` (matchers, adblockers) is built
-        once, ever. Otherwise every wave pays for a fresh fork pool and
-        fresh worker crawlers — the ``REPRO_POOL_PERSIST=0`` baseline.
-        """
-        ranked = self._ranked()
-        total = len(ranked)
-        wave = max(int(wave_size) if wave_size else self.WAVE_SIZE, 1)
+        """Visit ``workers`` contiguous rank ranges in one fan-out, then
+        accumulate every payload in rank order."""
+        ranks = range(len(self._ranked()))
+        shards = split_shards([[index] for index in ranks], workers)
+        if len(shards) <= 1:
+            return self._crawl(check_html, span)
+        span.set(workers=workers, shards=len(shards))
+        outputs = map_shards(
+            [(shard[0], shard[-1] + 1) for shard in shards],
+            _live_range_task,
+            state=(self.world, self.histories),
+            make_worker_state=_make_worker_crawler,
+            extra=(check_html,),
+        )
         result = self._empty_result()
         seen_scripts = set()
         collector = get_rule_stats()
-        pool = get_persistent_pool()
-        use_pool = (
-            pool is not None
-            and pool.matches("world", self.world)
-            and pool.matches("histories", self.histories)
-        )
-        span.set(workers=workers, waves=-(-total // wave) if total else 0)
-        for lo in range(0, total, wave):
-            hi = min(lo + wave, total)
-            shards = split_shards([[i] for i in range(lo, hi)], workers)
-            bounds = []
-            at = lo
-            for shard in shards:
-                bounds.append((at, at + len(shard)))
-                at += len(shard)
-            outputs = None
-            if use_pool:
-                outputs = pool.run(
-                    _live_range_task,
-                    bounds,
-                    make=_make_persistent_crawler,
-                    extra=(check_html,),
-                )
-            if outputs is None:
-                outputs = map_shards(
-                    bounds,
-                    _live_range_task,
-                    state=(self.world, self.histories),
-                    make_worker_state=_make_wave_crawler,
-                    extra=(check_html,),
-                )
-            for payloads, rule_delta in outputs:
-                if rule_delta and collector is not None:
-                    collector.merge_payload(rule_delta)
-                for payload in payloads:
-                    result.crawled += 1
-                    self._accumulate(result, payload, seen_scripts)
-            if hi % self.PROGRESS_EVERY < wave and hi >= self.PROGRESS_EVERY:
-                logger.info(
-                    "live crawl progress: %d sites, %d reachable",
-                    result.crawled,
-                    result.reachable,
-                )
+        for payloads, rule_delta in outputs:
+            if rule_delta and collector is not None:
+                collector.merge_payload(rule_delta)
+            for payload in payloads:
+                result.crawled += 1
+                self._accumulate(result, payload, seen_scripts)
         return self._finalize(result, span)
 
     def _visit_site(self, ranked, check_html: bool) -> Optional[Dict]:

@@ -12,8 +12,9 @@ and observable:
   matcher/adblocker caches, so paper-scale runs hold a fixed number of
   matchers in memory instead of one per (list, revision).
 - :func:`repro_workers` — the ``REPRO_WORKERS`` knob controlling how many
-  processes shard ``CoverageAnalyzer.analyze``. The default (1) keeps the
-  pipeline serial and its output bit-identical run to run.
+  processes shard every batch fan-out (``CoverageAnalyzer.analyze`` among
+  them). The default (1) keeps the pipeline serial and its output
+  bit-identical run to run.
 """
 
 from __future__ import annotations

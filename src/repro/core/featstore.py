@@ -38,15 +38,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.perf import LRUCache
-from ..analysis.pool import get_persistent_pool, map_shards, split_shards
+from ..analysis.pool import map_shards, split_shards
 from ..dataplane.events import PackedEventCache
-from ..dataplane.sources import SourceTable, write_source_table
 from ..jsast.parser import ParseError, parse
 from ..jsast.tokenizer import TokenizeError
 from ..jsast.unpack import unpack_program
@@ -118,6 +119,24 @@ def extract_events(source: str, unpack: bool = True) -> ScriptEvents:
     return ScriptEvents(events=tuple(token_events(program)), unpack_bailout=bailout)
 
 
+#: Per-thread depth of :func:`serial_extraction` blocks.
+_SERIAL = threading.local()
+
+
+@contextmanager
+def serial_extraction():
+    """Extract in the calling thread, whatever ``REPRO_WORKERS`` says.
+
+    The serve path scores fresh scripts under this: a daemon answers
+    every batch inline, and a shard, a daemonic process, may not fork.
+    """
+    _SERIAL.depth = getattr(_SERIAL, "depth", 0) + 1
+    try:
+        yield
+    finally:
+        _SERIAL.depth -= 1
+
+
 # -- worker-shard task (module level for pickling) -------------------------------
 
 
@@ -125,25 +144,6 @@ def _extract_shard(_state, shard: List[str], unpack: bool):
     """Extract one shard of sources; returns (entries, span payload)."""
     wall0, cpu0 = time.perf_counter(), time.process_time()
     entries = [extract_events(source, unpack) for source in shard]
-    payload = {
-        "wall_s": time.perf_counter() - wall0,
-        "cpu_s": time.process_time() - cpu0,
-        "scripts": len(entries),
-    }
-    return entries, payload
-
-
-def _extract_range_task(_state, bounds: Tuple[str, int, int], unpack: bool):
-    """Persistent-pool task: extract one index range of a source table.
-
-    The payload is ``(table path, lo, hi)`` — the worker maps the table
-    and decodes only its own slice, so no script source crosses the
-    process boundary as a pickle.
-    """
-    path, lo, hi = bounds
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    with SourceTable(path) as table:
-        entries = [extract_events(table.get(i), unpack) for i in range(lo, hi)]
     payload = {
         "wall_s": time.perf_counter() - wall0,
         "cpu_s": time.process_time() - cpu0,
@@ -319,11 +319,14 @@ class FeatureStore:
 
         Each distinct ``(sha256(source), unpack)`` pair is resolved once —
         memo, then disk, then actual extraction (sharded across
-        ``workers``/``REPRO_WORKERS`` processes when > 1). Serial,
-        parallel, and warm-cache runs assemble byte-identical results.
+        ``workers``/``REPRO_WORKERS`` processes when > 1, never inside
+        :func:`serial_extraction`). Serial, parallel, and warm-cache runs
+        assemble byte-identical results.
         """
         sources = list(sources)
-        workers = repro_workers() if workers is None else max(int(workers), 1)
+        if workers is None:
+            workers = 1 if getattr(_SERIAL, "depth", 0) else repro_workers()
+        workers = max(int(workers), 1)
         digests = [source_digest(source) for source in sources]
         resolved: Dict[str, ScriptEvents] = {}
         pending: Set[str] = set()
@@ -419,42 +422,12 @@ class FeatureStore:
         if len(shards) <= 1:
             return [extract_events(source, unpack) for _, source in todo]
         span.set(shards=len(shards))
-        results = self._extract_persistent(shards, unpack)
-        if results is None:
-            results = map_shards(shards, _extract_shard, extra=(unpack,))
+        results = map_shards(shards, _extract_shard, extra=(unpack,))
         entries: List[ScriptEvents] = []
         for index, (shard_entries, payload) in enumerate(results):
             span.add_child_payload(f"shard:{index}", **payload)
             entries.extend(shard_entries)
         return entries
-
-    def _extract_persistent(self, shards: List[List[str]], unpack: bool):
-        """Fan extraction out over the persistent pool, if one is live.
-
-        The miss list is written once as a packed source table; payloads
-        are ``(path, lo, hi)`` index ranges into it, so the fan-out ships
-        no sources and the per-run pool setup cost disappears. Returns
-        ``None`` (caller falls back to :func:`map_shards`) when no
-        persistent pool exists.
-        """
-        pool = get_persistent_pool()
-        if pool is None:
-            return None
-        import shutil
-        import tempfile
-
-        tmpdir = tempfile.mkdtemp(prefix="repro-sources-")
-        try:
-            path = os.path.join(tmpdir, "sources.rdps")
-            write_source_table(path, [source for shard in shards for source in shard])
-            bounds = []
-            lo = 0
-            for shard in shards:
-                bounds.append((path, lo, lo + len(shard)))
-                lo += len(shard)
-            return pool.run(_extract_range_task, bounds, extra=(unpack,))
-        finally:
-            shutil.rmtree(tmpdir, ignore_errors=True)
 
     # -- feature-set derivation ---------------------------------------------
 

@@ -4,7 +4,6 @@ The packed formats share one verified container (:mod:`.format`):
 
 - :mod:`.events` — token-event segments backing the §5 feature cache
 - :mod:`.requests` — columnar HAR request tables for §4 replay
-- :mod:`.sources` — script source tables for zero-copy pool shards
 - ``kind=graph`` — artifact-graph run-cache entries (:mod:`repro.graph.store`)
 - ``kind=snapshot`` — the serving snapshot every shard of the sharded
   daemon mmaps read-only (:mod:`repro.serve.snapshot`)
@@ -19,7 +18,6 @@ from .format import (
     KIND_NAMES,
     KIND_REQUESTS,
     KIND_SNAPSHOT,
-    KIND_SOURCES,
     MAGIC,
     DataPlaneError,
     MappedArtifact,
@@ -28,7 +26,6 @@ from .format import (
 )
 from .events import EventSegmentReader, PackedEventCache, write_event_segment
 from .requests import RequestTable, write_request_table
-from .sources import SourceTable, write_source_table
 
 __all__ = [
     "MAGIC",
@@ -36,7 +33,6 @@ __all__ = [
     "KIND_EVENTS",
     "KIND_REQUESTS",
     "KIND_SNAPSHOT",
-    "KIND_SOURCES",
     "KIND_NAMES",
     "DataPlaneError",
     "MappedArtifact",
@@ -47,6 +43,4 @@ __all__ = [
     "write_event_segment",
     "RequestTable",
     "write_request_table",
-    "SourceTable",
-    "write_source_table",
 ]

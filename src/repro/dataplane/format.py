@@ -47,14 +47,13 @@ FORMAT_VERSION = 1
 #: Format kinds carried in the header.
 KIND_EVENTS = 1  # packed token-event segment (§5 feature cache)
 KIND_REQUESTS = 2  # columnar HAR request table (§4 replay)
-KIND_SOURCES = 3  # script source table (worker-pool attachment)
+# Kind 3 (a temporary script-source table) is retired; never reuse it.
 KIND_GRAPH = 4  # artifact-graph node value (run cache)
 KIND_SNAPSHOT = 5  # packed serving snapshot (rule lines + detector)
 
 KIND_NAMES = {
     KIND_EVENTS: "events",
     KIND_REQUESTS: "requests",
-    KIND_SOURCES: "sources",
     KIND_GRAPH: "graph",
     KIND_SNAPSHOT: "snapshot",
 }

@@ -31,9 +31,8 @@ from ..analysis.perf import PerfCounters, repro_workers
 from ..core.corpus import Corpus, build_corpus
 from ..filterlist.history import FilterListHistory
 from ..filterlist.matcher import NetworkMatcher
-from ..analysis.pool import ensure_persistent_pool
 from ..graph import ArtifactGraph, feature_node_name
-from ..obs.config import list_patch_file, pool_persist, repro_scale
+from ..obs.config import list_patch_file, repro_scale
 from ..obs.metrics import get_metrics
 from ..obs.trace import span as trace_span
 from ..resilience import ResiliencePolicy, default_resilience
@@ -107,7 +106,8 @@ def _peak_rss_kb() -> Optional[int]:
 
 
 def default_workers() -> int:
-    """§4 replay worker count from ``REPRO_WORKERS`` (default 1 = serial)."""
+    """Worker count for every batch fan-out, from ``REPRO_WORKERS``
+    (default 1 = serial); serving never fans out."""
     return repro_workers()
 
 
@@ -289,33 +289,11 @@ class ExperimentContext:
     def histories(self) -> Dict[str, FilterListHistory]:
         """The two lists §4 replays, under their display names.
 
-        Cached, so every consumer (and the persistent pool's published
-        state) shares one dict object — the identity the pool's
-        ``matches`` guard checks.
+        Cached, so every consumer shares one dict object.
         """
         if self._histories is None:
             self._histories = {AAK: self.lists["aak"], CE: self.lists["combined_easylist"]}
         return self._histories
-
-    def _ensure_pool(self) -> None:
-        """Stand the process-wide persistent pool up for this campaign.
-
-        Gated on ``REPRO_POOL_PERSIST`` and ``REPRO_WORKERS`` > 1.
-        Called at the top of every fan-out stage: while the pool is
-        cold each call publishes whatever campaign state exists so far
-        (world, lists, histories, the crawl once built); the first
-        fan-out then forks exactly once with everything published.
-        State materialised only after the fork simply is not published —
-        engines detect that via ``matches`` and fall back per fan-out.
-        """
-        if not pool_persist() or repro_workers() <= 1:
-            return
-        pool = ensure_persistent_pool(repro_workers())
-        pool.publish("world", self.world)
-        pool.publish("lists", self.lists)
-        pool.publish("histories", self.histories)
-        if self._crawl is not None:
-            pool.publish("crawl", self._crawl)
 
     @property
     def generator(self) -> FilterListGenerator:
@@ -385,7 +363,6 @@ class ExperimentContext:
                 # span and timing cover only its own work.
                 self.crawl
                 self.analyzer
-                self._ensure_pool()
             self._coverage = self._resolve_stage(
                 "coverage", self._build_coverage, workers=repro_workers()
             )
@@ -408,7 +385,6 @@ class ExperimentContext:
             graph = self.graph
             if not graph.has("live"):
                 self.histories
-                self._ensure_pool()
             self._live = self._resolve_stage(
                 "live", self._build_live, top=self.world.config.live_top
             )
@@ -468,7 +444,6 @@ class ExperimentContext:
             if not graph.has(node):
                 # Build upstream outside the stage so timings stay distinct.
                 self.corpus
-                self._ensure_pool()
             cached = self._resolve_stage(
                 node,
                 build,

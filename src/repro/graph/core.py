@@ -25,7 +25,7 @@ campaign becomes one explicit graph:
   changed — a one-line list patch invalidates coverage and the tables
   but leaves the archive crawl on disk.
 
-Worker counts, pool modes, the data plane, rule stats, journals, and
+Worker counts, the data plane, rule stats, journals, and
 every other knob that is proven not to change artifact bytes stay *out*
 of the keys on purpose: a cache populated serially warm-starts a
 parallel run and vice versa.

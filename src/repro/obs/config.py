@@ -31,7 +31,6 @@ DEFAULT_HISTORY_CACHE = 65536
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_RETRY_BASE_MS = 50.0
 DEFAULT_DATA_PLANE = False
-DEFAULT_POOL_PERSIST = False
 DEFAULT_RULE_STATS = False
 DEFAULT_SERVE_PORT = 7675
 DEFAULT_SERVE_BATCH = 64
@@ -48,7 +47,6 @@ KNOBS = (
     "REPRO_RUN_CACHE",
     "REPRO_LIST_PATCH",
     "REPRO_DATA_PLANE",
-    "REPRO_POOL_PERSIST",
     "REPRO_RULE_STATS",
     "REPRO_RULE_STATS_DIR",
     "REPRO_SERVE_PORT",
@@ -115,7 +113,11 @@ def repro_scale(environ: Optional[Mapping[str, str]] = None) -> float:
 
 
 def repro_workers(environ: Optional[Mapping[str, str]] = None) -> int:
-    """§4 replay worker count from ``REPRO_WORKERS`` (default 1 = serial)."""
+    """Worker processes for every batch fan-out, from ``REPRO_WORKERS``.
+
+    Default 1 = serial. Covers the §3 history folds, the §4 replay, the
+    §4.3 live crawl and §5 feature extraction; serving never fans out.
+    """
     environ = os.environ if environ is None else environ
     return _resolve_int(
         "REPRO_WORKERS", environ.get("REPRO_WORKERS"), DEFAULT_WORKERS, minimum=1
@@ -234,20 +236,6 @@ def data_plane_enabled(environ: Optional[Mapping[str, str]] = None) -> bool:
     environ = os.environ if environ is None else environ
     return _resolve_bool(
         "REPRO_DATA_PLANE", environ.get("REPRO_DATA_PLANE"), DEFAULT_DATA_PLANE
-    )
-
-
-def pool_persist(environ: Optional[Mapping[str, str]] = None) -> bool:
-    """Persistent worker-pool toggle from ``REPRO_POOL_PERSIST`` (default off).
-
-    When on (and ``REPRO_WORKERS`` > 1), parallel fan-outs share one
-    long-lived fork pool per process instead of creating and tearing one
-    down per run; workers keep their built state (matchers, mmap
-    attachments) warm across fan-outs. Results are identical either way.
-    """
-    environ = os.environ if environ is None else environ
-    return _resolve_bool(
-        "REPRO_POOL_PERSIST", environ.get("REPRO_POOL_PERSIST"), DEFAULT_POOL_PERSIST
     )
 
 
@@ -421,8 +409,6 @@ class ConfigSnapshot:
     list_patch: Optional[str] = None
     #: Packed binary interchange for the hot stores (``REPRO_DATA_PLANE``).
     data_plane: bool = DEFAULT_DATA_PLANE
-    #: One long-lived worker pool per process (``REPRO_POOL_PERSIST``).
-    pool_persist: bool = DEFAULT_POOL_PERSIST
     #: Per-rule hit/cost accounting (``REPRO_RULE_STATS``).
     rule_stats: bool = DEFAULT_RULE_STATS
     #: Cross-run rule-stats accumulator directory (``REPRO_RULE_STATS_DIR``).
@@ -456,7 +442,6 @@ class ConfigSnapshot:
             "run_cache": self.run_cache,
             "list_patch": self.list_patch,
             "data_plane": self.data_plane,
-            "pool_persist": self.pool_persist,
             "rule_stats": self.rule_stats,
             "rule_stats_dir": self.rule_stats_dir,
             "serve_port": self.serve_port,
@@ -483,7 +468,6 @@ def config_snapshot(environ: Optional[Mapping[str, str]] = None) -> ConfigSnapsh
         run_cache=run_cache_dir(environ),
         list_patch=list_patch_file(environ),
         data_plane=data_plane_enabled(environ),
-        pool_persist=pool_persist(environ),
         rule_stats=rule_stats_enabled(environ),
         rule_stats_dir=rule_stats_dir(environ),
         serve_port=serve_port(environ),

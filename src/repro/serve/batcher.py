@@ -34,6 +34,7 @@ import traceback
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.featstore import serial_extraction
 from ..core.online import OnlineAdblocker, source_digest
 from ..obs.config import serve_batch_size, serve_wait_ms
 from ..obs.hist import ns_buckets
@@ -107,7 +108,8 @@ def prewarm_verdicts(online: OnlineAdblocker, queries: Sequence[Dict[str, Any]])
     uses, so the subsequent per-query path is all cache hits. Scoring a
     page script that rule-filtering would have blocked anyway only adds
     a cache entry — responses are unchanged, which is what the parity
-    tests pin.
+    tests pin. Extraction stays in this thread whatever ``REPRO_WORKERS``
+    says: serving never forks a pool.
     """
     pending: List[Tuple[str, str]] = []
     seen = set()
@@ -121,7 +123,8 @@ def prewarm_verdicts(online: OnlineAdblocker, queries: Sequence[Dict[str, Any]])
             pending.append((digest, source))
     if not pending:
         return 0
-    predictions = online.detector.predict([source for _, source in pending])
+    with serial_extraction():
+        predictions = online.detector.predict([source for _, source in pending])
     for (digest, _), flag in zip(pending, predictions):
         cache[digest] = bool(flag)
     return len(pending)

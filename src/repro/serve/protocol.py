@@ -64,7 +64,9 @@ def decode_line(line) -> Dict[str, Any]:
         raise ProtocolError("empty request line")
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Not JSON, an integer past Python's digit limit, or nesting
+        # deeper than the decoder's recursion limit.
         raise ProtocolError(f"request is not JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError("request is not a JSON object")

@@ -1,4 +1,4 @@
-"""Shard splitting and the persistent worker pool.
+"""Shard splitting for the fork-first worker pool.
 
 ``split_shards`` has two contracts: a *correctness* one (the flattened
 shards ARE the flattened groups — order preserved, nothing dropped or
@@ -13,13 +13,7 @@ import random
 
 import pytest
 
-from repro.analysis.pool import (
-    PersistentPool,
-    ensure_persistent_pool,
-    get_persistent_pool,
-    set_persistent_pool,
-    split_shards,
-)
+from repro.analysis.pool import split_shards
 
 
 def flatten(groups):
@@ -84,88 +78,3 @@ class TestSplitShardsProperty:
             largest_group = max(len(group) for group in groups if group)
             ideal = len(items) / len(shards)
             assert max(len(s) for s in shards) <= ideal + largest_group
-
-
-class TestPersistentPool:
-    @pytest.fixture(autouse=True)
-    def isolate_singleton(self):
-        previous = set_persistent_pool(None)
-        yield
-        set_persistent_pool(previous)
-
-    def test_publish_before_fork_accepts_anything(self):
-        pool = PersistentPool(2)
-        value = {"k": 1}
-        assert pool.publish("state", value)
-        assert pool.matches("state", value)
-        assert not pool.matches("state", {"k": 1})  # identity, not equality
-        pool.close()
-
-    def test_run_returns_results_in_payload_order(self):
-        pool = PersistentPool(2)
-        pool.publish("base", 100)
-        results = pool.run(_add_base, [5, 1, 9, 3], key="base")
-        assert results == [105, 101, 109, 103]
-        assert pool.runs == 1
-        pool.close()
-
-    def test_state_frozen_after_fork(self):
-        pool = PersistentPool(2)
-        value = [1, 2]
-        pool.publish("v", value)
-        pool.publish("base", 0)
-        pool.run(_add_base, [0], key="base")
-        assert pool.forked
-        assert pool.publish("v", value)  # identical object: no-op, fine
-        assert not pool.publish("v", [1, 2])  # new object: rejected
-        assert not pool.publish("new", 3)
-        pool.close()
-
-    def test_workers_inherit_published_state(self):
-        pool = PersistentPool(2)
-        pool.publish("table", {"a": 10, "b": 20})
-        results = pool.run(_read_table, ["a", "b", "a"], key="table")
-        assert results == [10, 20, 10]
-        pool.close()
-
-    def test_worker_state_cached_across_runs(self):
-        pool = PersistentPool(1)
-        pool.publish("seed", 7)
-        first = pool.run(_builds_counted, [0], key="seed", make=_count_builds)
-        second = pool.run(_builds_counted, [0], key="seed", make=_count_builds)
-        # One worker, same (key, make): the derived state was built once.
-        assert first == [1]
-        assert second == [1]
-        pool.close()
-
-    def test_singleton_lifecycle(self):
-        assert get_persistent_pool() is None
-        pool = ensure_persistent_pool(2)
-        assert get_persistent_pool() is pool
-        assert ensure_persistent_pool(4) is pool  # idempotent
-        set_persistent_pool(None)
-        assert get_persistent_pool() is None
-
-
-# -- module-level tasks (must be picklable) --------------------------------------
-
-
-def _add_base(base, payload):
-    return base + payload
-
-
-def _read_table(table, key):
-    return table[key]
-
-
-_BUILDS = 0
-
-
-def _count_builds(_seed):
-    global _BUILDS
-    _BUILDS += 1
-    return _BUILDS
-
-
-def _builds_counted(builds, _payload):
-    return builds

@@ -96,7 +96,6 @@ class TestWorkerAndKnobInvariance:
     def test_workers_pool_dataplane_stay_out_of_keys(self, monkeypatch):
         base = all_keys(graph_for())
         monkeypatch.setenv("REPRO_WORKERS", "8")
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "1")
         monkeypatch.setenv("REPRO_DATA_PLANE", "1")
         monkeypatch.setenv("REPRO_RULE_STATS", "1")
         assert all_keys(graph_for()) == base

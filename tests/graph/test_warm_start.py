@@ -17,7 +17,6 @@ import repro.experiments.sec43 as sec43
 import repro.experiments.stability as stability
 import repro.experiments.table1 as table1
 from repro.__main__ import EXPERIMENTS
-from repro.analysis.pool import close_persistent_pool
 from repro.analysis.rulestats import set_rule_stats
 from repro.experiments.context import ExperimentContext
 from repro.filterlist.classify import targeted_domains
@@ -46,16 +45,12 @@ def assert_world_untouched(ctx: ExperimentContext) -> None:
     assert ctx.world.population.minted() == []
 
 
-@pytest.fixture(params=["serial", "persistent-pool"])
+@pytest.fixture(params=["serial", "workers-2"])
 def pool_mode(request, monkeypatch):
     if request.param == "serial":
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_POOL_PERSIST", raising=False)
     else:
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "1")
-    yield
-    close_persistent_pool()
 
 
 class TestStageWarmStart:
@@ -177,7 +172,6 @@ class TestCachedLists:
         cold_table1 = table1.render(table1.run(cold))
         cold_sec43 = sec43.render(sec43.run(cold))
         cold_names = [(r.rank, r.domain) for r in cold.world.live_domains()]
-        close_persistent_pool()
         keep_only(cache, "lists")
 
         warm = fresh_ctx()

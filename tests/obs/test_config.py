@@ -147,7 +147,6 @@ class TestSnapshot:
             "crawl_journal",
             "fault_seed",
             "data_plane",
-            "pool_persist",
             "rule_stats",
             "rule_stats_dir",
             "serve_port",

@@ -309,6 +309,23 @@ class TestPipelinedConnection:
         with protocol.ServeClient(daemon.host, daemon.port) as client:
             assert client.ask(PROBE)["ok"] is True
 
+    @pytest.mark.parametrize(
+        "line",
+        [b"[" * 100_000, b'{"op": "url", "n": ' + b"9" * 5000 + b"}"],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_undecodable_line_gets_its_error_in_its_own_slot(self, daemon, line):
+        errors = get_metrics().counter("serve.errors")
+        with socket.create_connection((daemon.host, daemon.port), timeout=30.0) as sock:
+            sock.sendall(_lines([PROBE]) + line + b"\n" + _lines([PROBE]))
+            reader = sock.makefile("rb")
+            frames = [json.loads(reader.readline()) for _ in range(3)]
+            assert [frame["ok"] for frame in frames] == [True, False, True]
+            assert get_metrics().counter("serve.errors") == errors + 1
+            # The connection stays open.
+            sock.sendall(_lines([{"op": "health"}]))
+            assert json.loads(reader.readline())["ok"] is True
+
     def test_deep_script_in_a_burst_costs_only_its_own_answer(self, daemon, serve_state):
         deep = "var x = " + "[" * 20_000 + "1" + "]" * 20_000 + ";"
         burst = [

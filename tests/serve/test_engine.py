@@ -6,6 +6,7 @@ import json
 from repro.core.online import OnlineAdblocker, source_digest
 from repro.filterlist.parser import parse_filter_list
 from repro.obs.metrics import get_metrics
+from repro.serve import protocol
 from repro.serve.batcher import ServeEngine, answer_query, prewarm_verdicts
 from repro.serve.loadgen import generate_queries
 
@@ -67,6 +68,24 @@ class TestPrewarm:
         for source in sources:
             assert source_digest(source) in chain.verdict_cache
         assert prewarm_verdicts(chain.current.online, queries) == 0
+
+    def test_prewarm_never_forks_whatever_the_worker_knob(self, serve_state, monkeypatch):
+        """A daemon answers inline and a shard (a daemonic process) may
+        not fork, so two fresh scripts must be scored in-process."""
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("the serve path forked a pool")
+
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setattr("repro.core.featstore.map_shards", no_fork)
+        queries = [
+            protocol.script_query("var prewarmProbeA = document.body.offsetHeight;"),
+            protocol.script_query("function prewarmProbeB() { return 'ads'; }"),
+        ]
+        chain = serve_state.build_chain()
+        assert prewarm_verdicts(chain.current.online, queries) == 2
+        for query, answer in zip(queries, expected_answers(serve_state, queries)):
+            assert chain.verdict_cache[source_digest(query["source"])] == answer["flagged"]
 
     def test_bad_queries_answer_error_frames(self, serve_state):
         engine = ServeEngine(serve_state.build_chain())

@@ -1,6 +1,8 @@
 """Wire protocol: framing, validation, and lossless page serialisation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import protocol
 from repro.web.page import PageSnapshot, Script, Subresource
@@ -38,6 +40,48 @@ class TestFraming:
     def test_unknown_op_rejected(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_line(b'{"op": "teleport"}')
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_line(b"[" * 100_000)
+
+    def test_integer_past_the_digit_limit_rejected(self):
+        line = b'{"op": "url", "n": ' + b"9" * 5000 + b"}"
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_line(line)
+
+
+def _decodes_or_rejects(line) -> None:
+    """``decode_line`` returns a message or raises ``ProtocolError``; no
+    other exception may escape to the connection handler."""
+    try:
+        message = protocol.decode_line(line)
+    except protocol.ProtocolError:
+        return
+    assert isinstance(message, dict)
+
+
+#: Text that looks like protocol frames often enough to pass the JSON
+#: decoder and reach the op checks.
+json_ish = st.text(alphabet='{}[]":,. -0123456789eE\\optursalbch', max_size=200)
+
+
+class TestDecodeFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.binary(max_size=400))
+    def test_arbitrary_bytes(self, line):
+        _decodes_or_rejects(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.text(max_size=400))
+    def test_arbitrary_text(self, line):
+        _decodes_or_rejects(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=json_ish)
+    def test_json_shaped_text(self, body):
+        _decodes_or_rejects('{"op": ' + body)
+        _decodes_or_rejects(body)
 
 
 class TestBatchFrames:

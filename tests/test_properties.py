@@ -11,6 +11,7 @@ from repro.core.chi2 import chi_square_scores
 from repro.core.vectorize import Vectorizer
 from repro.analysis.comparison import cdf
 from repro.filterlist.matcher import NetworkMatcher
+from repro.filterlist.parser import parse_filter_list
 from repro.filterlist.rules import NetworkRule, domain_matches
 from repro.jsast.tokenizer import tokenize
 from repro.wayback.rewrite import parse_timestamp, format_timestamp, truncate_wayback, wayback_url
@@ -150,6 +151,26 @@ class TestFilterRuleProperties:
 
 
 # -- HAR ---------------------------------------------------------------------------
+
+
+class TestFilterListParserFuzz:
+    """Real adblockers tolerate bad rules, and so must the parser: any
+    text parses, malformed lines land in ``errors``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(max_size=300))
+    def test_arbitrary_text_never_raises(self, text):
+        parse_filter_list(text, cache=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.text(alphabet="|^$*@#!?,.=~/-_:+()[]{}'\"ab1 ", max_size=40),
+            max_size=12,
+        )
+    )
+    def test_rule_shaped_text_never_raises(self, lines):
+        parse_filter_list("\n".join(lines), cache=False)
 
 
 class TestHarProperties:
